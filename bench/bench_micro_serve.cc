@@ -42,6 +42,24 @@ namespace {
 
 constexpr uint32_t kQueryK = 6;
 
+/// Dataset cache tag of the served graph. The cache stores it as a graph
+/// image, so LOAD maps CachePath(kGraphTag) instead of rebuilding the
+/// index.
+constexpr char kGraphTag[] = "micro_serve_20k";
+
+/// The served graph: a 20k-vertex LFR component, generated on first use.
+Graph MicroServeGraph() {
+  gen::LfrParams params;
+  params.n = 20000;
+  params.min_degree = 5;
+  params.max_degree = 80;
+  params.min_community = 20;
+  params.max_community = 150;
+  params.mu = 0.1;
+  params.seed = 808;
+  return CachedLfrComponent(params, kGraphTag);
+}
+
 /// Queries per session; LOCS_BENCH_SCALE multiplies it.
 size_t QueriesPerSession() {
   size_t queries = 2000;
@@ -190,23 +208,8 @@ SweepPoint RunSweepPoint(serve::GraphRegistry& registry, Executor& executor,
 /// output show what it cost. Exit is nonzero only when a request
 /// ultimately failed after exhausting its attempts.
 int TcpMain(uint16_t port, unsigned sessions, size_t queries) {
-  const Graph graph = [] {
-    gen::LfrParams params;
-    params.n = 20000;
-    params.min_degree = 5;
-    params.max_degree = 80;
-    params.min_community = 20;
-    params.max_community = 150;
-    params.mu = 0.1;
-    params.seed = 808;
-    return CachedLfrComponent(params, "micro_serve_20k");
-  }();
-  const uint32_t n = graph.NumVertices();
-  const std::string path = CacheDir() + "/micro_serve_20k.lcsg";
-  if (!SaveBinary(graph, path)) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return 1;
-  }
+  const uint32_t n = MicroServeGraph().NumVertices();
+  const std::string path = CachePath(kGraphTag);
 
   const auto make_options = [port](uint64_t seed) {
     serve::RetryClientOptions options;
@@ -307,23 +310,8 @@ int Main() {
       "not in the paper — service-layer economics of PR 4 (locsd)",
       "qps grows with sessions until cores saturate; p95 stays bounded");
 
-  const Graph graph = [] {
-    gen::LfrParams params;
-    params.n = 20000;
-    params.min_degree = 5;
-    params.max_degree = 80;
-    params.min_community = 20;
-    params.max_community = 150;
-    params.mu = 0.1;
-    params.seed = 808;
-    return CachedLfrComponent(params, "micro_serve_20k");
-  }();
-  const uint32_t n = graph.NumVertices();
-  const std::string path = CacheDir() + "/micro_serve_20k.lcsg";
-  if (!SaveBinary(graph, path)) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return 1;
-  }
+  const uint32_t n = MicroServeGraph().NumVertices();
+  const std::string path = CachePath(kGraphTag);
 
   serve::GraphRegistry registry;
   IoError io_error;

@@ -5,8 +5,8 @@
 #include <cmath>
 #include <cstdio>
 
-#include "graph/io.h"
 #include "graph/traversal.h"
+#include "store/graph_file.h"
 #include "util/check.h"
 #include "util/cli.h"
 #include "util/timer.h"
@@ -70,8 +70,8 @@ Graph GenerateComponent(const gen::LfrParams& params) {
 Graph LoadOrGenerate(const std::string& cache_path,
                      const gen::LfrParams& params) {
   if (FileExists(cache_path)) {
-    auto loaded = LoadBinary(cache_path);
-    if (loaded.has_value()) return std::move(*loaded);
+    auto loaded = store::LoadGraphFile(cache_path);
+    if (loaded.has_value()) return std::move(loaded->graph);
     std::fprintf(stderr, "[datasets] cache %s unreadable; regenerating\n",
                  cache_path.c_str());
   }
@@ -82,7 +82,7 @@ Graph LoadOrGenerate(const std::string& cache_path,
                cache_path.c_str(), graph.NumVertices(),
                static_cast<unsigned long>(graph.NumEdges()),
                timer.Seconds());
-  if (!SaveBinary(graph, cache_path)) {
+  if (!store::SaveGraphFile(graph, cache_path)) {
     std::fprintf(stderr, "[datasets] warning: could not cache %s\n",
                  cache_path.c_str());
   }
@@ -118,10 +118,9 @@ Dataset LoadStandIn(const std::string& name) {
   params.mu = recipe.mu;
   params.seed = recipe.seed;
 
-  const std::string path = CacheDir() + "/" + name + ScaleTag() + ".lcsg";
   Dataset dataset;
   dataset.name = name;
-  dataset.graph = LoadOrGenerate(path, params);
+  dataset.graph = LoadOrGenerate(CachePath(name + ScaleTag()), params);
   return dataset;
 }
 
@@ -133,10 +132,13 @@ std::vector<Dataset> LoadAllStandIns() {
   return all;
 }
 
+std::string CachePath(const std::string& cache_tag) {
+  return CacheDir() + "/" + cache_tag + std::string(store::kImageExtension);
+}
+
 Graph CachedLfrComponent(const gen::LfrParams& params,
                          const std::string& cache_tag) {
-  const std::string path = CacheDir() + "/" + cache_tag + ".lcsg";
-  return LoadOrGenerate(path, params);
+  return LoadOrGenerate(CachePath(cache_tag), params);
 }
 
 }  // namespace locs::bench

@@ -4,15 +4,12 @@
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <new>
 #include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "graph/builder.h"
-#include "util/failpoint.h"
 
 namespace locs {
 
@@ -38,14 +35,6 @@ std::string Format(const char* fmt, ...) {
   va_end(args);
   return buf;
 }
-
-constexpr char kMagic[8] = {'L', 'O', 'C', 'S', 'G', 'R', 'F', '1'};
-
-struct BinaryHeader {
-  char magic[8];
-  uint64_t num_vertices;
-  uint64_t num_half_edges;
-};
 
 /// RAII wrapper over std::FILE.
 class File {
@@ -130,8 +119,11 @@ std::optional<Graph> LoadEdgeList(const std::string& path, IoError* error) {
                          line_no, u),
                   line_no);
     }
-    // Extra columns (weights, timestamps) are ignored, as before.
-    edges.emplace_back(intern(u), intern(v));
+    // Extra columns (weights, timestamps) are ignored, as before. `u` is
+    // interned in its own statement: the two arguments of one call may be
+    // evaluated in either order, and ids must follow first-seen order.
+    const VertexId first = intern(u);
+    edges.emplace_back(first, intern(v));
   }
   return BuildGraph(static_cast<VertexId>(remap.size()), edges);
 }
@@ -256,99 +248,6 @@ bool SaveMetis(const Graph& graph, const std::string& path) {
     std::fputc('\n', file.get());
   }
   return std::fflush(file.get()) == 0;
-}
-
-std::optional<Graph> LoadBinary(const std::string& path, IoError* error) {
-  if (error != nullptr) *error = IoError{};
-  File file(path, "rb");
-  if (!file.ok()) {
-    return Fail(error, IoErrorKind::kOpen,
-                Format("cannot open '%s' for reading", path.c_str()));
-  }
-  BinaryHeader header{};
-  if (std::fread(&header, sizeof(header), 1, file.get()) != 1) {
-    return Fail(error, IoErrorKind::kTruncated,
-                "file ends before the 24-byte header");
-  }
-  if (std::memcmp(header.magic, kMagic, sizeof(kMagic)) != 0) {
-    return Fail(error, IoErrorKind::kParse,
-                "bad magic (not a LOCSGRF1 binary graph)");
-  }
-  std::vector<uint64_t> offsets;
-  std::vector<VertexId> neighbors;
-  // Fault-injection site: "io.binary.alloc" simulates the CSR arrays
-  // failing to allocate (they can reach multiple GB on large graphs, the
-  // one place the loader's memory use is data-dependent).
-  if (LOCS_FAILPOINT("io.binary.alloc")) {
-    return Fail(error, IoErrorKind::kAlloc,
-                Format("cannot allocate CSR arrays for %" PRIu64
-                       " vertices / %" PRIu64 " half-edges",
-                       header.num_vertices, header.num_half_edges));
-  }
-  try {
-    offsets.resize(header.num_vertices + 1);
-    neighbors.resize(header.num_half_edges);
-  } catch (const std::bad_alloc&) {
-    return Fail(error, IoErrorKind::kAlloc,
-                Format("cannot allocate CSR arrays for %" PRIu64
-                       " vertices / %" PRIu64 " half-edges",
-                       header.num_vertices, header.num_half_edges));
-  }
-  // Fault-injection site: "io.binary.short_read" forces the truncation
-  // path a short read of the offsets array would take.
-  if (LOCS_FAILPOINT("io.binary.short_read") ||
-      std::fread(offsets.data(), sizeof(uint64_t), offsets.size(),
-                 file.get()) != offsets.size()) {
-    return Fail(error, IoErrorKind::kTruncated,
-                Format("short read: file ends inside the %" PRIu64
-                       "-entry offset array",
-                       header.num_vertices + 1));
-  }
-  if (!neighbors.empty() &&
-      std::fread(neighbors.data(), sizeof(VertexId), neighbors.size(),
-                 file.get()) != neighbors.size()) {
-    return Fail(error, IoErrorKind::kTruncated,
-                Format("short read: file ends inside the %" PRIu64
-                       "-entry neighbor array",
-                       header.num_half_edges));
-  }
-  return Graph::FromCsr(std::move(offsets), std::move(neighbors));
-}
-
-bool SaveBinary(const Graph& graph, const std::string& path) {
-  File file(path, "wb");
-  if (!file.ok()) return false;
-  BinaryHeader header{};
-  std::memcpy(header.magic, kMagic, sizeof(kMagic));
-  header.num_vertices = graph.NumVertices();
-  header.num_half_edges = graph.neighbors().size();
-  if (std::fwrite(&header, sizeof(header), 1, file.get()) != 1) return false;
-  if (std::fwrite(graph.offsets().data(), sizeof(uint64_t),
-                  graph.offsets().size(),
-                  file.get()) != graph.offsets().size()) {
-    return false;
-  }
-  if (!graph.neighbors().empty() &&
-      std::fwrite(graph.neighbors().data(), sizeof(VertexId),
-                  graph.neighbors().size(),
-                  file.get()) != graph.neighbors().size()) {
-    return false;
-  }
-  return std::fflush(file.get()) == 0;
-}
-
-std::optional<Graph> LoadGraphAuto(const std::string& path,
-                                   IoError* error) {
-  const auto ends_with = [&path](std::string_view suffix) {
-    return path.size() >= suffix.size() &&
-           path.compare(path.size() - suffix.size(), suffix.size(),
-                        suffix) == 0;
-  };
-  if (ends_with(".lcsg")) return LoadBinary(path, error);
-  if (ends_with(".metis") || ends_with(".graph")) {
-    return LoadMetis(path, error);
-  }
-  return LoadEdgeList(path, error);
 }
 
 }  // namespace locs

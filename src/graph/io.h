@@ -1,5 +1,6 @@
-// Graph persistence: SNAP-style edge-list text files and a fast binary
-// format used by the benchmark dataset cache.
+// Graph persistence: SNAP-style edge-list and METIS text files. Compiled
+// graph images live in src/store/, which also owns the rule for which
+// format a file is (store/graph_file.h).
 
 #ifndef LOCS_GRAPH_IO_H_
 #define LOCS_GRAPH_IO_H_
@@ -21,7 +22,6 @@ enum class IoErrorKind : uint8_t {
   kOpen,       ///< file missing / not readable
   kParse,      ///< malformed content (text formats, bad magic)
   kTruncated,  ///< file ended before the declared data (short read)
-  kAlloc,      ///< an allocation for the graph data failed
 };
 
 constexpr std::string_view IoErrorKindName(IoErrorKind kind) {
@@ -34,8 +34,6 @@ constexpr std::string_view IoErrorKindName(IoErrorKind kind) {
       return "parse";
     case IoErrorKind::kTruncated:
       return "truncated";
-    case IoErrorKind::kAlloc:
-      return "alloc";
   }
   return "unknown";
 }
@@ -74,23 +72,6 @@ std::optional<Graph> LoadMetis(const std::string& path,
 
 /// Writes the graph in plain METIS format. Returns false on I/O failure.
 bool SaveMetis(const Graph& graph, const std::string& path);
-
-/// Loads the binary CSR format written by SaveBinary. Returns std::nullopt
-/// on open failure, bad magic, or truncation, with detail in `error` when
-/// provided.
-std::optional<Graph> LoadBinary(const std::string& path,
-                                IoError* error = nullptr);
-
-/// Writes the graph in a compact binary CSR format (magic + version +
-/// counts + raw arrays). Returns false on I/O failure.
-bool SaveBinary(const Graph& graph, const std::string& path);
-
-/// Loads a graph with the format chosen by file extension: `.lcsg` is the
-/// binary CSR format, `.metis`/`.graph` is METIS, anything else is a
-/// whitespace edge list. This is the one auto-detection rule shared by the
-/// CLI, the serving layer, and the bench dataset cache.
-std::optional<Graph> LoadGraphAuto(const std::string& path,
-                                   IoError* error = nullptr);
 
 }  // namespace locs
 

@@ -2,6 +2,7 @@
 
 #include <utility>
 
+#include "store/graph_file.h"
 #include "util/failpoint.h"
 #include "util/timer.h"
 
@@ -34,29 +35,31 @@ std::shared_ptr<const ServedGraph> GraphRegistry::Load(
   }
   // File IO and index building run outside the registry lock: concurrent
   // LOADs of different graphs overlap, and lookups never wait on a load.
-  // The content sniff (not the extension) routes to the image path, so a
-  // compiled image is picked up under any file name; LOADIMG skips the
-  // sniff and lets the image reader reject non-images with a typed
-  // error.
+  // The store decides the file's format (a compiled image is picked up
+  // under any name); LOADIMG forces the image reader, which rejects
+  // non-images with a typed error.
   WallTimer timer;
+  const store::GraphFormat format =
+      source == LoadSource::kImage ? store::GraphFormat::kImage
+                                   : store::DetectGraphFormat(path);
+  if (image_attempted != nullptr) {
+    *image_attempted = format == store::GraphFormat::kImage;
+  }
+  auto file = store::LoadGraphFile(path, error, format);
+  if (!file.has_value()) return nullptr;
+  const double load_ms = timer.Millis();
   std::shared_ptr<ServedGraph> entry;
-  if (source == LoadSource::kImage || store::SniffGraphImage(path)) {
-    if (image_attempted != nullptr) *image_attempted = true;
-    auto image = store::LoadGraphImage(path, error);
-    if (!image.has_value()) return nullptr;
-    const double load_ms = timer.Millis();
-    entry = std::make_shared<ServedGraph>(name, path, std::move(*image));
-    entry->load_ms = load_ms;
-    entry->build_ms = 0.0;  // nothing to build: the image holds it all
+  if (file->image.has_value()) {
+    // Nothing to build: the image holds every precomputation.
+    entry = std::make_shared<ServedGraph>(name, path,
+                                          std::move(*file->image));
   } else {
-    auto graph = LoadGraphAuto(path, error);
-    if (!graph.has_value()) return nullptr;
-    const double load_ms = timer.Millis();
     timer.Restart();
-    entry = std::make_shared<ServedGraph>(name, path, std::move(*graph));
-    entry->load_ms = load_ms;
+    entry = std::make_shared<ServedGraph>(name, path,
+                                          std::move(file->graph));
     entry->build_ms = timer.Millis();
   }
+  entry->load_ms = load_ms;
   entry->epoch = next_epoch_.fetch_add(1, std::memory_order_relaxed);
   MutexLock lock(mutex_);
   auto [it, inserted] = graphs_.try_emplace(name, entry);

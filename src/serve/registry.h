@@ -96,8 +96,7 @@ class GraphRegistry {
 
   /// How Load interprets the file at `path`.
   enum class LoadSource : uint8_t {
-    kAuto,   ///< graph image when the content sniff says so (any
-             ///< extension), else by extension via LoadGraphAuto
+    kAuto,   ///< whatever store::DetectGraphFormat says the file is
     kImage,  ///< must be a graph image (the LOADIMG verb)
   };
 

@@ -57,11 +57,6 @@ bool CompileGraphImage(const Graph& graph, const std::string& path,
 std::optional<LoadedImage> LoadGraphImage(const std::string& path,
                                           IoError* error = nullptr);
 
-/// True iff `path` exists and starts with the graph-image magic — the
-/// content sniff behind LOAD's image auto-detection (works regardless of
-/// the file's extension).
-bool SniffGraphImage(const std::string& path);
-
 }  // namespace locs::store
 
 #endif  // LOCS_STORE_IMAGE_H_

@@ -11,7 +11,6 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <cstdio>
 #include <cstring>
 #include <span>
 #include <string>
@@ -105,17 +104,6 @@ bool ValidateTree(std::span<const uint32_t> level,
 }
 
 }  // namespace
-
-bool SniffGraphImage(const std::string& path) {
-  std::FILE* file = std::fopen(path.c_str(), "rb");
-  if (file == nullptr) return false;
-  char magic[sizeof(kImageMagic)] = {};
-  const bool ok =
-      std::fread(magic, 1, sizeof(magic), file) == sizeof(magic) &&
-      std::memcmp(magic, kImageMagic, sizeof(magic)) == 0;
-  std::fclose(file);
-  return ok;
-}
 
 std::optional<LoadedImage> LoadGraphImage(const std::string& path,
                                           IoError* error) {

@@ -128,12 +128,14 @@ class LadderScenario {
   /// Parks critical waiters until `target` of them are queued.
   void FillQueue(unsigned target) {
     while (admission_->Snapshot().queued < target) {
+      // Read the depth before spawning: read after, a waiter that queues
+      // first would be counted in `want` and the wait could never end.
+      const unsigned want = admission_->Snapshot().queued + 1;
       waiters_.emplace_back([this] {
         AdmissionTicket ticket(*admission_);
         EXPECT_TRUE(ticket.admitted());
       });
-      const unsigned want = admission_->Snapshot().queued;
-      WaitUntil([&] { return admission_->Snapshot().queued > want; });
+      WaitUntil([&] { return admission_->Snapshot().queued >= want; });
     }
   }
 

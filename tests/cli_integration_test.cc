@@ -8,6 +8,8 @@
 #include <fstream>
 #include <string>
 
+#include "test_util.h"
+
 namespace locs {
 namespace {
 
@@ -46,9 +48,7 @@ std::pair<int, std::string> RunCliMergedStderr(const std::string& args) {
   return {WEXITSTATUS(status), output};
 }
 
-std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
-}
+using testing::TempPath;
 
 TEST(CliIntegrationTest, UsageOnNoArgs) {
   const auto [code, out] = RunCli("");
@@ -56,7 +56,7 @@ TEST(CliIntegrationTest, UsageOnNoArgs) {
 }
 
 TEST(CliIntegrationTest, GenerateStatsQueryPipeline) {
-  const std::string graph_path = TempPath("cli_pipeline.lcsg");
+  const std::string graph_path = TempPath("cli_pipeline.limg");
   {
     const auto [code, out] = RunCli(
         "generate --model=lfr --n=2000 --seed=5 --output=" + graph_path);
@@ -96,7 +96,7 @@ TEST(CliIntegrationTest, CompileRejectsAnAlreadyCompiledImage) {
   // Recompiling a .limg must fail with a clear diagnostic, not a
   // confusing edge-list parse error from feeding binary bytes to the
   // text loader.
-  const std::string graph_path = TempPath("cli_recompile.lcsg");
+  const std::string graph_path = TempPath("cli_recompile.txt");
   const std::string image_path = TempPath("cli_recompile.limg");
   ASSERT_EQ(RunCli("generate --model=gnp --n=60 --p=0.2 --seed=4 "
                    "--output=" +
@@ -115,7 +115,7 @@ TEST(CliIntegrationTest, UnopenableTraceFileIsAHardError) {
   // A --trace= path that cannot be opened must abort the run with the
   // typed open-error exit code — not run untraced with exit 0 and not
   // collapse into the generic failure code.
-  const std::string graph_path = TempPath("cli_trace_err.lcsg");
+  const std::string graph_path = TempPath("cli_trace_err.limg");
   ASSERT_EQ(RunCli("generate --model=gnp --n=50 --p=0.2 --seed=9 --output=" +
                    graph_path)
                 .first,
@@ -127,7 +127,7 @@ TEST(CliIntegrationTest, UnopenableTraceFileIsAHardError) {
 }
 
 TEST(CliIntegrationTest, LocalAndGlobalAgreeOnGoodness) {
-  const std::string graph_path = TempPath("cli_agree.lcsg");
+  const std::string graph_path = TempPath("cli_agree.limg");
   ASSERT_EQ(RunCli("generate --model=ba --n=1000 --m=4 --seed=3 --output=" +
                    graph_path)
                 .first,
@@ -148,15 +148,15 @@ TEST(CliIntegrationTest, LocalAndGlobalAgreeOnGoodness) {
 }
 
 TEST(CliIntegrationTest, ConvertRoundTripAcrossFormats) {
-  const std::string binary_path = TempPath("cli_conv.lcsg");
+  const std::string image_path = TempPath("cli_conv.limg");
   const std::string metis_path = TempPath("cli_conv.metis");
   const std::string edge_path = TempPath("cli_conv.txt");
   ASSERT_EQ(RunCli("generate --model=gnp --n=300 --p=0.05 --seed=2 "
                    "--output=" +
-                   binary_path)
+                   image_path)
                 .first,
             0);
-  ASSERT_EQ(RunCli("convert --input=" + binary_path +
+  ASSERT_EQ(RunCli("convert --input=" + image_path +
                    " --output=" + metis_path)
                 .first,
             0);
@@ -171,11 +171,11 @@ TEST(CliIntegrationTest, ConvertRoundTripAcrossFormats) {
     const size_t pos = out.find("edges");
     return out.substr(pos, out.find('\n', pos) - pos);
   };
-  EXPECT_EQ(edges_of(binary_path), edges_of(metis_path));
+  EXPECT_EQ(edges_of(image_path), edges_of(metis_path));
 }
 
 TEST(CliIntegrationTest, BatchCommandRunsBothModes) {
-  const std::string graph_path = TempPath("cli_batch.lcsg");
+  const std::string graph_path = TempPath("cli_batch.limg");
   ASSERT_EQ(RunCli("generate --model=lfr --n=1500 --seed=9 --output=" +
                    graph_path)
                 .first,

@@ -73,6 +73,11 @@ struct GridParam {
   uint64_t seed;
 };
 
+void PrintTo(const GridParam& param, std::ostream* os) {
+  testing::PrintBytesWithZeroPadding(param, os, &GridParam::family,
+                                     &GridParam::seed);
+}
+
 std::string GridName(const ::testing::TestParamInfo<GridParam>& info) {
   return FamilyName(info.param.family) + "_s" +
          std::to_string(info.param.seed);

@@ -1,4 +1,5 @@
-// Tests for edge-list and binary graph persistence.
+// Tests for graph persistence: the edge-list and METIS text formats, and
+// the binary image format through the store's format dispatch.
 
 #include "graph/io.h"
 
@@ -13,14 +14,13 @@
 #include "gen/erdos_renyi.h"
 #include "graph/builder.h"
 #include "graph/invariants.h"
-#include "util/failpoint.h"
+#include "store/graph_file.h"
+#include "test_util.h"
 
 namespace locs {
 namespace {
 
-std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
-}
+using testing::TempPath;
 
 TEST(EdgeListIoTest, RoundTrip) {
   Graph original = gen::ErdosRenyiGnp(50, 0.1, 7);
@@ -58,6 +58,26 @@ TEST(EdgeListIoTest, CompactsSparseIds) {
   const auto loaded = LoadEdgeList(path);
   ASSERT_TRUE(loaded.has_value());
   EXPECT_EQ(loaded->NumVertices(), 3u);
+}
+
+TEST(EdgeListIoTest, IdsFollowFirstSeenOrderWithinALine) {
+  // "5 7" introduces two vertices on one line: 5 is seen first, so it
+  // must become id 0 (an unsequenced intern(u)/intern(v) pair may number
+  // 7 first).
+  const std::string path = TempPath("first_seen.txt");
+  {
+    std::ofstream out(path);
+    out << "5 7\n7 9\n";
+  }
+  const auto loaded = LoadEdgeList(path);
+  ASSERT_TRUE(loaded.has_value());
+  ASSERT_EQ(loaded->NumVertices(), 3u);
+  // 5 -> 0, 7 -> 1, 9 -> 2: the path 0 - 1 - 2.
+  EXPECT_EQ(loaded->Degree(0), 1u);
+  EXPECT_EQ(loaded->Degree(1), 2u);
+  EXPECT_EQ(loaded->Degree(2), 1u);
+  EXPECT_TRUE(loaded->HasEdge(0, 1));
+  EXPECT_TRUE(loaded->HasEdge(1, 2));
 }
 
 TEST(EdgeListIoTest, MissingFileReturnsNullopt) {
@@ -124,39 +144,43 @@ TEST(EdgeListIoTest, MalformedLineFails) {
   EXPECT_FALSE(LoadEdgeList(path).has_value());
 }
 
+// The binary format is the graph image (store/image.h), read and written
+// here through the store's format dispatch (store/graph_file.h).
+
 TEST(BinaryIoTest, ExactRoundTrip) {
   Graph original = gen::ErdosRenyiGnp(200, 0.05, 11);
-  const std::string path = TempPath("graph.lcsg");
-  ASSERT_TRUE(SaveBinary(original, path));
-  const auto loaded = LoadBinary(path);
+  const std::string path = TempPath("graph.limg");
+  ASSERT_TRUE(store::SaveGraphFile(original, path));
+  const auto loaded = store::LoadGraphFile(path);
   ASSERT_TRUE(loaded.has_value());
-  EXPECT_EQ(loaded->offsets(), original.offsets());
-  EXPECT_EQ(loaded->neighbors(), original.neighbors());
+  EXPECT_EQ(loaded->format, store::GraphFormat::kImage);
+  EXPECT_EQ(loaded->graph.offsets(), original.offsets());
+  EXPECT_EQ(loaded->graph.neighbors(), original.neighbors());
 }
 
 TEST(BinaryIoTest, PreservesIsolatedVertices) {
   Graph original = BuildGraph(10, {{0, 1}});
-  const std::string path = TempPath("isolated.lcsg");
-  ASSERT_TRUE(SaveBinary(original, path));
-  const auto loaded = LoadBinary(path);
+  const std::string path = TempPath("isolated.limg");
+  ASSERT_TRUE(store::SaveGraphFile(original, path));
+  const auto loaded = store::LoadGraphFile(path);
   ASSERT_TRUE(loaded.has_value());
-  EXPECT_EQ(loaded->NumVertices(), 10u);
-  EXPECT_EQ(loaded->NumEdges(), 1u);
+  EXPECT_EQ(loaded->graph.NumVertices(), 10u);
+  EXPECT_EQ(loaded->graph.NumEdges(), 1u);
 }
 
 TEST(BinaryIoTest, RejectsBadMagic) {
-  const std::string path = TempPath("junk.lcsg");
+  const std::string path = TempPath("junk.limg");
   {
     std::ofstream out(path, std::ios::binary);
     out << "this is not a locs graph file at all, padding padding";
   }
-  EXPECT_FALSE(LoadBinary(path).has_value());
+  EXPECT_FALSE(store::LoadGraphFile(path).has_value());
 }
 
 TEST(BinaryIoTest, RejectsTruncatedFile) {
   Graph original = gen::Clique(20);
-  const std::string path = TempPath("trunc.lcsg");
-  ASSERT_TRUE(SaveBinary(original, path));
+  const std::string path = TempPath("trunc.limg");
+  ASSERT_TRUE(store::SaveGraphFile(original, path));
   // Truncate the file to half its size.
   std::FILE* f = std::fopen(path.c_str(), "r+");
   ASSERT_NE(f, nullptr);
@@ -164,11 +188,12 @@ TEST(BinaryIoTest, RejectsTruncatedFile) {
   const long size = std::ftell(f);
   std::fclose(f);
   ASSERT_EQ(truncate(path.c_str(), size / 2), 0);
-  EXPECT_FALSE(LoadBinary(path).has_value());
+  EXPECT_FALSE(store::LoadGraphFile(path).has_value());
 }
 
 TEST(BinaryIoTest, MissingFileReturnsNullopt) {
-  EXPECT_FALSE(LoadBinary("/nonexistent/path/graph.lcsg").has_value());
+  EXPECT_FALSE(
+      store::LoadGraphFile("/nonexistent/path/graph.limg").has_value());
 }
 
 TEST(MetisIoTest, RoundTrip) {
@@ -278,9 +303,9 @@ TEST(MetisIoTest, IsolatedVerticesViaEmptyLines) {
 
 TEST(EdgeListIoTest, EmptyGraphRoundTrip) {
   Graph empty = BuildGraph(0, {});
-  const std::string path = TempPath("empty.lcsg");
-  ASSERT_TRUE(SaveBinary(empty, path));
-  const auto loaded = LoadBinary(path);
+  const std::string path = TempPath("empty.txt");
+  ASSERT_TRUE(SaveEdgeList(empty, path));
+  const auto loaded = LoadEdgeList(path);
   ASSERT_TRUE(loaded.has_value());
   EXPECT_EQ(loaded->NumVertices(), 0u);
 }
@@ -298,7 +323,8 @@ TEST(IoErrorTest, MissingFileReportsOpenKindInEveryFormat) {
   EXPECT_FALSE(LoadMetis(TempPath("nope.metis"), &error).has_value());
   EXPECT_EQ(error.kind, IoErrorKind::kOpen);
 
-  EXPECT_FALSE(LoadBinary(TempPath("nope.lcsg"), &error).has_value());
+  EXPECT_FALSE(
+      store::LoadGraphFile(TempPath("nope.limg"), &error).has_value());
   EXPECT_EQ(error.kind, IoErrorKind::kOpen);
 }
 
@@ -371,21 +397,22 @@ TEST(IoErrorTest, MetisMissingVertexLinesIsTruncated) {
 }
 
 TEST(IoErrorTest, BinaryBadMagicIsParseError) {
-  const std::string path = TempPath("badmagic.lcsg");
+  const std::string path = TempPath("badmagic.limg");
   {
+    // Longer than an image header, so the magic check decides.
     std::ofstream out(path, std::ios::binary);
-    out << "NOTAGRAPHFILE_________________";
+    out << "NOTAGRAPHFILE_________________________________________________";
   }
   IoError error;
-  EXPECT_FALSE(LoadBinary(path, &error).has_value());
+  EXPECT_FALSE(store::LoadGraphFile(path, &error).has_value());
   EXPECT_EQ(error.kind, IoErrorKind::kParse);
 }
 
 TEST(IoErrorTest, BinaryTruncationIsReported) {
   Graph g = gen::Clique(6);
-  const std::string path = TempPath("trunc_err.lcsg");
-  ASSERT_TRUE(SaveBinary(g, path));
-  // Chop the file in the middle of the neighbor array.
+  const std::string path = TempPath("trunc_err.limg");
+  ASSERT_TRUE(store::SaveGraphFile(g, path));
+  // Chop the last section.
   std::ifstream in(path, std::ios::binary);
   std::string bytes((std::istreambuf_iterator<char>(in)),
                     std::istreambuf_iterator<char>());
@@ -396,56 +423,9 @@ TEST(IoErrorTest, BinaryTruncationIsReported) {
     out << bytes;
   }
   IoError error;
-  EXPECT_FALSE(LoadBinary(path, &error).has_value());
+  EXPECT_FALSE(store::LoadGraphFile(path, &error).has_value());
   EXPECT_EQ(error.kind, IoErrorKind::kTruncated);
 }
-
-#if LOCS_FAILPOINTS
-
-TEST(IoFailpointTest, ShortReadFailpointForcesTruncationPath) {
-  Graph g = gen::Clique(5);
-  const std::string path = TempPath("fp_short.lcsg");
-  ASSERT_TRUE(SaveBinary(g, path));
-  // Sanity: the file itself is fine.
-  ASSERT_TRUE(LoadBinary(path).has_value());
-
-  failpoint::ScopedFailpoint fp("io.binary.short_read");
-  IoError error;
-  EXPECT_FALSE(LoadBinary(path, &error).has_value());
-  EXPECT_EQ(error.kind, IoErrorKind::kTruncated);
-  EXPECT_GE(failpoint::HitCount("io.binary.short_read"), 1u);
-}
-
-TEST(IoFailpointTest, AllocFailpointForcesAllocError) {
-  Graph g = gen::Clique(5);
-  const std::string path = TempPath("fp_alloc.lcsg");
-  ASSERT_TRUE(SaveBinary(g, path));
-
-  failpoint::ScopedFailpoint fp("io.binary.alloc");
-  IoError error;
-  EXPECT_FALSE(LoadBinary(path, &error).has_value());
-  EXPECT_EQ(error.kind, IoErrorKind::kAlloc);
-  EXPECT_GE(failpoint::HitCount("io.binary.alloc"), 1u);
-
-  // Disarmed again, the same file loads.
-  failpoint::Disarm("io.binary.alloc");
-  EXPECT_TRUE(LoadBinary(path, &error).has_value());
-  EXPECT_TRUE(error.ok());
-}
-
-TEST(IoFailpointTest, SkipCountDelaysTheFailure) {
-  Graph g = gen::Clique(4);
-  const std::string path = TempPath("fp_skip.lcsg");
-  ASSERT_TRUE(SaveBinary(g, path));
-
-  failpoint::ScopedFailpoint fp("io.binary.short_read", /*skip=*/2);
-  EXPECT_TRUE(LoadBinary(path).has_value());   // hit 1: skipped
-  EXPECT_TRUE(LoadBinary(path).has_value());   // hit 2: skipped
-  EXPECT_FALSE(LoadBinary(path).has_value());  // hit 3: fires
-  EXPECT_EQ(failpoint::HitCount("io.binary.short_read"), 3u);
-}
-
-#endif  // LOCS_FAILPOINTS
 
 }  // namespace
 }  // namespace locs

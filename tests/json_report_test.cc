@@ -9,6 +9,7 @@
 
 #include "common/reporting.h"
 #include "gtest/gtest.h"
+#include "test_util.h"
 
 namespace locs::bench {
 namespace {
@@ -80,7 +81,7 @@ TEST(JsonReportTest, IntegralNumbersRenderUndecorated) {
 }
 
 TEST(JsonReportTest, WriteRoundTripsRender) {
-  const std::string path = ::testing::TempDir() + "/json_report_test.json";
+  const std::string path = testing::TempPath("json_report_test.json");
   JsonReport report("roundtrip");
   report.Meta("graph", "gnp");
   report.AddRow().Num("k", 5).Str("note", "line\none");

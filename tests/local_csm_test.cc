@@ -31,6 +31,11 @@ struct Config {
   double gamma;
 };
 
+void PrintTo(const Config& config, std::ostream* os) {
+  testing::PrintBytesWithZeroPadding(config, os, &Config::rule,
+                                     &Config::gamma);
+}
+
 std::string ConfigName(const ::testing::TestParamInfo<Config>& info) {
   std::string name = info.param.rule == CsmCandidateRule::kFromVisited
                          ? "CSM1"

@@ -26,6 +26,11 @@ struct Config {
   bool ordered;
 };
 
+void PrintTo(const Config& config, std::ostream* os) {
+  testing::PrintBytesWithZeroPadding(config, os, &Config::strategy,
+                                     &Config::ordered);
+}
+
 std::string ConfigName(const ::testing::TestParamInfo<Config>& info) {
   std::string name(StrategyName(info.param.strategy));
   name += info.param.ordered ? "_ordered" : "_plain";

@@ -19,6 +19,8 @@
 #include <thread>
 #include <vector>
 
+#include "test_util.h"
+
 namespace locs {
 namespace {
 
@@ -42,9 +44,7 @@ std::pair<int, std::string> RunShell(const std::string& command) {
   return {WEXITSTATUS(status), output};
 }
 
-std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
-}
+using testing::TempPath;
 
 std::vector<std::string> SplitLines(const std::string& text) {
   std::vector<std::string> lines;
@@ -70,7 +70,7 @@ std::string Field(const std::string& line, const std::string& key) {
 /// Generates the shared test graph once per process.
 const std::string& GraphPath() {
   static const std::string path = [] {
-    const std::string p = TempPath("locsd_it.lcsg");
+    const std::string p = TempPath("locsd_it.limg");
     const auto [code, out] = RunShell(
         std::string(LOCS_CLI_PATH) +
         " generate --model=lfr --n=2000 --seed=5 --output=" + p);

@@ -15,6 +15,7 @@
 #include "obs/recorder.h"
 #include "obs/telemetry.h"
 #include "obs/trace_sink.h"
+#include "test_util.h"
 #include "util/json.h"
 
 namespace locs::obs {
@@ -187,7 +188,7 @@ std::vector<std::string> ReadLines(const std::string& path) {
 }
 
 TEST(TraceSinkTest, WritesOneJsonlLinePerQuery) {
-  const std::string path = ::testing::TempDir() + "/trace_sink_test.jsonl";
+  const std::string path = testing::TempPath("trace_sink_test.jsonl");
   {
     TraceSink sink(path);
     ASSERT_TRUE(sink.ok());

@@ -1,7 +1,7 @@
 // Tests for the parallel batch query runner: results must equal the
 // sequential solver's, for any thread count.
 
-#include "core/parallel.h"
+#include "exec/batch_runner.h"
 
 #include <gtest/gtest.h>
 

@@ -17,13 +17,13 @@
 #include "serve/admission.h"
 #include "serve/result_cache.h"
 #include "serve/session.h"
+#include "store/graph_file.h"
+#include "test_util.h"
 
 namespace locs::serve {
 namespace {
 
-std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
-}
+using testing::TempPath;
 
 // ---------------------------------------------------------------------
 // ResultCache unit behavior.
@@ -88,8 +88,8 @@ struct CacheFixture {
   }
 
   void Register(const std::string& name, const Graph& graph) {
-    const std::string path = TempPath("cache_fix_" + name + ".lcsg");
-    ASSERT_TRUE(SaveBinary(graph, path));
+    const std::string path = TempPath("cache_fix_" + name + ".limg");
+    ASSERT_TRUE(store::SaveGraphFile(graph, path));
     IoError error;
     bool full = false;
     ASSERT_NE(registry.Load(name, path, &error, &full), nullptr)
@@ -213,10 +213,10 @@ TEST(ResultCacheServeTest, EvictAndReloadDifferentGraphNeverServesStale) {
   // query, different graph contents — the cached barbell reply must not
   // survive the re-LOAD.
   CacheFixture fix;
-  const std::string barbell_path = TempPath("cache_swap_barbell.lcsg");
-  const std::string cycle_path = TempPath("cache_swap_cycle.lcsg");
-  ASSERT_TRUE(SaveBinary(gen::Barbell(6, 2), barbell_path));
-  ASSERT_TRUE(SaveBinary(gen::Cycle(12), cycle_path));
+  const std::string barbell_path = TempPath("cache_swap_barbell.limg");
+  const std::string cycle_path = TempPath("cache_swap_cycle.limg");
+  ASSERT_TRUE(store::SaveGraphFile(gen::Barbell(6, 2), barbell_path));
+  ASSERT_TRUE(store::SaveGraphFile(gen::Cycle(12), cycle_path));
 
   const auto replies = fix.Run(
       {
@@ -247,8 +247,8 @@ TEST(ResultCacheServeTest, ReplacingLoadOfSameFileStillMintsNewEpoch) {
   // replies: the registry cannot know the file is unchanged, so every
   // load generation gets its own key space (conservative, always safe).
   CacheFixture fix;
-  const std::string path = TempPath("cache_reload_same.lcsg");
-  ASSERT_TRUE(SaveBinary(gen::Barbell(6, 2), path));
+  const std::string path = TempPath("cache_reload_same.limg");
+  ASSERT_TRUE(store::SaveGraphFile(gen::Barbell(6, 2), path));
   const auto replies = fix.Run(
       {
           "LOAD g " + path,

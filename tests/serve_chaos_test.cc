@@ -28,6 +28,8 @@
 #include "serve/client.h"
 #include "serve/server.h"
 #include "serve/session.h"
+#include "store/graph_file.h"
+#include "test_util.h"
 #include "util/failpoint.h"
 
 namespace locs::serve {
@@ -35,9 +37,7 @@ namespace {
 
 using failpoint::ScopedFailpoint;
 
-std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
-}
+using testing::TempPath;
 
 bool StartsWith(const std::string& text, const std::string& prefix) {
   return text.rfind(prefix, 0) == 0;
@@ -72,8 +72,8 @@ struct ChaosFixture {
   ResultCache cache{64};
 
   void Register(const std::string& name, const Graph& graph) {
-    const std::string path = TempPath("chaos_fix_" + name + ".lcsg");
-    ASSERT_TRUE(SaveBinary(graph, path));
+    const std::string path = TempPath("chaos_fix_" + name + ".limg");
+    ASSERT_TRUE(store::SaveGraphFile(graph, path));
     IoError error;
     bool full = false;
     ASSERT_NE(registry.Load(name, path, &error, &full), nullptr)
@@ -362,8 +362,8 @@ TEST(ServeChaosTest, PeriodicSolverFaultFiresEveryOtherQuery) {
 
 TEST(ServeChaosTest, RegistryLoadFaultIsTypedIoErrorAndRecoverable) {
   ChaosFixture fix;
-  const std::string path = TempPath("chaos_load.lcsg");
-  ASSERT_TRUE(SaveBinary(gen::Clique(8), path));
+  const std::string path = TempPath("chaos_load.limg");
+  ASSERT_TRUE(store::SaveGraphFile(gen::Clique(8), path));
   std::vector<std::string> faulted;
   {
     ScopedFailpoint fault("serve.registry.load_error");

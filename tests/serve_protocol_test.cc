@@ -17,6 +17,7 @@
 
 #include "serve/transport.h"
 #include "serve/wire.h"
+#include "test_util.h"
 
 namespace locs::serve {
 namespace {
@@ -32,7 +33,7 @@ TEST(WireParseTest, BlankLinesAreIgnorable) {
 }
 
 TEST(WireParseTest, EveryVerbRoundTrips) {
-  EXPECT_EQ(Parse("LOAD g /tmp/g.lcsg").request.verb, Verb::kLoad);
+  EXPECT_EQ(Parse("LOAD g /tmp/g.limg").request.verb, Verb::kLoad);
   EXPECT_EQ(Parse("LOADIMG g /tmp/g.limg").request.verb, Verb::kLoadImg);
   EXPECT_EQ(Parse("EVICT g").request.verb, Verb::kEvict);
   EXPECT_EQ(Parse("LIST").request.verb, Verb::kList);
@@ -211,7 +212,7 @@ TEST(WireParseTest, ErrorAndVerbNamesAreStable) {
 /// until EOF/error.
 std::vector<std::pair<Transport::ReadStatus, std::string>> Feed(
     const std::string& bytes) {
-  const std::string path = ::testing::TempDir() + "/transport_feed.bin";
+  const std::string path = testing::TempPath("transport_feed.bin");
   const int write_fd =
       ::open(path.c_str(), O_CREAT | O_TRUNC | O_WRONLY, 0600);
   EXPECT_GE(write_fd, 0);

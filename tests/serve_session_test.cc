@@ -22,14 +22,14 @@
 #include "serve/admission.h"
 #include "serve/server.h"
 #include "serve/session.h"
+#include "store/graph_file.h"
+#include "test_util.h"
 #include "util/failpoint.h"
 
 namespace locs::serve {
 namespace {
 
-std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
-}
+using testing::TempPath;
 
 /// Shared server state plus a scripted-session driver. Scripts run over
 /// file-backed fds (no pipe-capacity deadlock however large the reply),
@@ -45,10 +45,10 @@ struct ServeFixture {
       AdmissionController::Options admit = AdmissionController::Options())
       : registry(max_graphs), admission(admit) {}
 
-  /// Registers `graph` under `name` via a temp binary file.
+  /// Registers `graph` under `name` via a temp graph image.
   void Register(const std::string& name, const Graph& graph) {
-    const std::string path = TempPath("serve_fix_" + name + ".lcsg");
-    ASSERT_TRUE(SaveBinary(graph, path));
+    const std::string path = TempPath("serve_fix_" + name + ".limg");
+    ASSERT_TRUE(store::SaveGraphFile(graph, path));
     IoError error;
     bool full = false;
     ASSERT_NE(registry.Load(name, path, &error, &full), nullptr)
@@ -135,8 +135,8 @@ TEST(ServeSessionTest, KnownStructureQueriesAreExact) {
 
 TEST(ServeSessionTest, LoadEvictListLifecycle) {
   ServeFixture fix;
-  const std::string path = TempPath("serve_lifecycle.lcsg");
-  ASSERT_TRUE(SaveBinary(gen::Clique(8), path));
+  const std::string path = TempPath("serve_lifecycle.limg");
+  ASSERT_TRUE(store::SaveGraphFile(gen::Clique(8), path));
   const auto replies = fix.Run(
       {
           "LOAD k8 " + path,
@@ -146,7 +146,7 @@ TEST(ServeSessionTest, LoadEvictListLifecycle) {
           "CST k8 0 7",  // evicted name is gone for new queries
           "EVICT k8",    // double-evict is a typed error
           "LIST",
-          "LOAD broken /nonexistent/file.lcsg",
+          "LOAD broken /nonexistent/file.limg",
       },
       "lifecycle");
   ASSERT_EQ(replies.size(), 8u);
@@ -187,10 +187,10 @@ TEST(ServeSessionTest, ExecutionErrorsAreTypedAndNonFatal) {
 
 TEST(ServeSessionTest, RegistryCapacityIsEnforced) {
   ServeFixture fix(/*max_graphs=*/1);
-  const std::string path_a = TempPath("serve_cap_a.lcsg");
-  const std::string path_b = TempPath("serve_cap_b.lcsg");
-  ASSERT_TRUE(SaveBinary(gen::Clique(4), path_a));
-  ASSERT_TRUE(SaveBinary(gen::Cycle(5), path_b));
+  const std::string path_a = TempPath("serve_cap_a.limg");
+  const std::string path_b = TempPath("serve_cap_b.limg");
+  ASSERT_TRUE(store::SaveGraphFile(gen::Clique(4), path_a));
+  ASSERT_TRUE(store::SaveGraphFile(gen::Cycle(5), path_b));
   const auto replies = fix.Run(
       {
           "LOAD a " + path_a,
@@ -365,8 +365,8 @@ TEST(TcpServerTest, ConcurrentSessionsServeAndDrain) {
   ServerOptions options;
   options.max_sessions = 4;
   CommunityServer shared(options);
-  const std::string path = TempPath("serve_tcp.lcsg");
-  ASSERT_TRUE(SaveBinary(gen::Barbell(6, 2), path));
+  const std::string path = TempPath("serve_tcp.limg");
+  ASSERT_TRUE(store::SaveGraphFile(gen::Barbell(6, 2), path));
   IoError io_error;
   bool full = false;
   ASSERT_NE(shared.registry().Load("g", path, &io_error, &full), nullptr);

@@ -24,6 +24,7 @@
 #include <fstream>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/core_index.h"
@@ -35,15 +36,15 @@
 #include "serve/admission.h"
 #include "serve/session.h"
 #include "store/format.h"
+#include "store/graph_file.h"
 #include "store/image.h"
+#include "test_util.h"
 #include "util/failpoint.h"
 
 namespace locs::store {
 namespace {
 
-std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
-}
+using testing::TempPath;
 
 std::string ReadFileBytes(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -174,12 +175,38 @@ TEST(StoreRoundTripTest, SniffRecognizesImagesByContentNotExtension) {
   const std::string odd_name = TempPath("store_sniff.dat");
   IoError error;
   ASSERT_TRUE(CompileGraphImage(graph, odd_name, &error)) << error.message;
-  EXPECT_TRUE(SniffGraphImage(odd_name));
+  EXPECT_EQ(DetectGraphFormat(odd_name), GraphFormat::kImage);
 
   const std::string text = TempPath("store_sniff.txt");
   ASSERT_TRUE(SaveEdgeList(graph, text));
-  EXPECT_FALSE(SniffGraphImage(text));
-  EXPECT_FALSE(SniffGraphImage(TempPath("store_sniff_missing")));
+  EXPECT_EQ(DetectGraphFormat(text), GraphFormat::kEdgeList);
+  EXPECT_EQ(DetectGraphFormat(TempPath("store_sniff_missing")),
+            GraphFormat::kEdgeList);
+}
+
+TEST(StoreGraphFileTest, NameDecidesUnlessTheContentIsAnImage) {
+  const Graph graph = gen::Barbell(4, 1);
+  const std::string image = TempPath("store_rule.limg");
+  const std::string metis = TempPath("store_rule.graph");
+  const std::string text = TempPath("store_rule.metis.txt");
+  for (const auto& [path, format] :
+       {std::pair{image, GraphFormat::kImage},
+        std::pair{metis, GraphFormat::kMetis},
+        std::pair{text, GraphFormat::kEdgeList}}) {
+    ASSERT_TRUE(SaveGraphFile(graph, path)) << path;
+    const std::optional<GraphFile> file = LoadGraphFile(path);
+    ASSERT_TRUE(file.has_value()) << path;
+    EXPECT_EQ(file->format, format) << path;
+    EXPECT_EQ(file->graph.NumEdges(), graph.NumEdges()) << path;
+    EXPECT_EQ(file->image.has_value(), format == GraphFormat::kImage);
+  }
+  // The magic beats the name; a forced format skips detection.
+  const std::string renamed = TempPath("store_rule_image.metis");
+  ASSERT_TRUE(CompileGraphImage(graph, renamed));
+  EXPECT_EQ(DetectGraphFormat(renamed), GraphFormat::kImage);
+  IoError error;
+  EXPECT_FALSE(LoadGraphFile(text, &error, GraphFormat::kImage).has_value());
+  EXPECT_EQ(error.kind, IoErrorKind::kParse);
 }
 
 // ---------------------------------------------------------------------------

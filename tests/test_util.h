@@ -1,19 +1,45 @@
 // Shared helpers for the test suite: brute-force reference solvers (only
-// feasible on tiny graphs) and set utilities.
+// feasible on tiny graphs), set utilities, and private scratch paths.
 
 #ifndef LOCS_TESTS_TEST_UTIL_H_
 #define LOCS_TESTS_TEST_UTIL_H_
 
+#include <gtest/gtest.h>
+#include <stdlib.h>
+
 #include <algorithm>
+#include <cstring>
+#include <filesystem>
 #include <optional>
+#include <ostream>
 #include <set>
+#include <string>
+#include <system_error>
 #include <vector>
 
 #include "graph/graph.h"
 #include "graph/subgraph.h"
 #include "graph/types.h"
+#include "util/check.h"
 
 namespace locs::testing {
+
+/// Path of `name` in a scratch directory private to this process. ctest
+/// runs each gtest case as its own process, many at once under -j, so
+/// fixed names in the shared ::testing::TempDir() would collide. The
+/// directory is made on first use and removed at exit.
+inline std::string TempPath(const std::string& name) {
+  struct ScratchDir {
+    std::string path = ::testing::TempDir() + "/locs_test_XXXXXX";
+    ScratchDir() { LOCS_CHECK(::mkdtemp(path.data()) != nullptr); }
+    ~ScratchDir() {
+      std::error_code ignored;
+      std::filesystem::remove_all(path, ignored);
+    }
+  };
+  static const ScratchDir dir;
+  return dir.path + "/" + name;
+}
 
 /// Sorted copy of a vertex set for order-insensitive comparison.
 inline std::vector<VertexId> Sorted(std::vector<VertexId> v) {
@@ -66,6 +92,23 @@ inline size_t BruteForceMcstSize(const Graph& graph, VertexId v0,
     if (MinDegreeOfInduced(graph, members) >= k) best = members.size();
   }
   return best;
+}
+
+/// Prints `value` the way gtest prints a type it cannot format (a byte
+/// dump), but with every padding byte zero. gtest appends that dump to
+/// each value-parameterized test name ctest registers, so a parameter
+/// struct with padding would otherwise leak uninitialised memory into
+/// the names and change them from build to build. List every field.
+template <typename T, typename... F>
+void PrintBytesWithZeroPadding(const T& value, std::ostream* os,
+                               F T::*... fields) {
+  unsigned char bytes[sizeof(T)] = {};
+  const auto* base = reinterpret_cast<const unsigned char*>(&value);
+  (std::memcpy(bytes + (reinterpret_cast<const unsigned char*>(
+                            &(value.*fields)) - base),
+               &(value.*fields), sizeof(F)),
+   ...);
+  ::testing::internal::PrintBytesInObjectTo(bytes, sizeof(T), os);
 }
 
 }  // namespace locs::testing

@@ -73,9 +73,9 @@ stat_field() {
 }
 
 "${cli}" generate --model=lfr --n=2000 --seed=5 \
-  --output="${work}/g.lcsg" >/dev/null
-# Graph image for the LOADIMG churn leg of the soak.
-"${cli}" compile "${work}/g.lcsg" "${work}/g.limg" >/dev/null
+  --output="${work}/g.txt" >/dev/null
+# Graph image for the preload and the LOADIMG churn leg of the soak.
+"${cli}" compile "${work}/g.txt" "${work}/g.limg" >/dev/null
 
 echo "=== chaos: failpoint soak (${sessions} sessions, ${soak}s) ==="
 # Periodic (%every) faults recur throughout the soak without killing
@@ -83,19 +83,19 @@ echo "=== chaos: failpoint soak (${sessions} sessions, ${soak}s) ==="
 # skip, so the transport faults carry skips: without them the very
 # first read in the daemon's lifetime — the silent connection this
 # script parks for the idle reaper — would die to read_error instead
-# of idling out. Clients must ride everything out via retries.
+# of idling out. The image faults skip one hit for the same reason:
+# the daemon's own --preload of g.limg is the first image load. Clients
+# must ride everything out via retries.
 #
 # Failpoints deliberately NOT armed here — tools/lint_failpoints.sh
 # cross-checks these annotations against the tree, so adding a new
 # LOCS_FAILPOINT site forces a decision: arm it or document why not.
 # chaos-unarmed: guard.force_deadline — would trip every query's deadline, so the soak would measure only the trip path; covered by the guard unit tests.
-# chaos-unarmed: io.binary.alloc — load-time fault; the soak preloads its graph exactly once, and the IO tests cover it.
-# chaos-unarmed: io.binary.short_read — load-time fault on the same preload path, covered by the IO tests.
 # chaos-unarmed: serve.registry.load_error — would kill this script's own --preload before any client connects.
 # chaos-unarmed: serve.slow_query — a 200 ms stall per fire collapses soak throughput; the serve tests exercise it against the query deadline.
 LOCS_FAILPOINT="serve.solver.error%17,serve.cache.insert_drop%7,serve.transport.read_delay=50%101,serve.transport.partial_write=50%503,serve.transport.write_error=50%709,serve.transport.read_error=200%613,serve.store.image_open_error=1%5,serve.store.image_mmap_error=1%7" \
   "${locsd}" --port=0 --port-file="${work}/port" \
-  --preload=g="${work}/g.lcsg" \
+  --preload=g="${work}/g.limg" \
   --io-timeout-ms=2000 --idle-timeout-ms=3000 \
   --max-sessions=$((sessions + 4)) --max-sessions-per-peer=$((sessions + 4)) \
   --max-inflight=4 --max-queue=8 --max-reply-bytes=8192 \
@@ -259,7 +259,7 @@ else
     # Same port, dataset preloaded from the bench's own cache: clients
     # must reconnect and finish with zero ultimately-failed requests.
     "${locsd}" --port="${port}" \
-      --preload=g=data/micro_serve_20k.lcsg 2>>"${work}/daemon2.log" &
+      --preload=g=data/micro_serve_20k.limg 2>>"${work}/daemon2.log" &
     daemon_pid="$!"
   else
     echo "note: bench finished before the kill; restart leg degraded" \

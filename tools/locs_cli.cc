@@ -7,14 +7,15 @@
 //   batch    --input=G --mode=cst|csm         batch queries on the
 //            [--queries-file=F|--sample=N]    persistent executor
 //   decompose --input=G [--top=N]             core decomposition summary
-//   convert  --input=G --output=F             between edgelist/metis/binary
+//   convert  --input=G --output=F             between edgelist/metis/image
 //   compile  <input> <image>                  build a mmap-ready graph
 //                                             image (src/store/)
 //   generate --model=lfr|ba|gnp --output=F    synthetic graphs
 //
-// Graph files are auto-detected: a graph image by its magic bytes (any
-// extension), then by extension — .lcsg (binary), .metis / .graph
-// (METIS), anything else is treated as a whitespace edge list.
+// Graph files are read and written through store/graph_file.h: a file
+// starting with the image magic is a graph image (any name); otherwise
+// .limg is an image, .metis / .graph is METIS, and anything else is a
+// whitespace edge list.
 
 #include <algorithm>
 #include <cstdio>
@@ -27,15 +28,15 @@
 #include "core/kcore.h"
 #include "core/searcher.h"
 #include "exec/batch_runner.h"
-#include "obs/trace_sink.h"
-#include "serve/daemon.h"
 #include "gen/barabasi.h"
 #include "gen/erdos_renyi.h"
 #include "gen/lfr.h"
 #include "graph/io.h"
 #include "graph/statistics.h"
 #include "graph/traversal.h"
-#include "store/image.h"
+#include "obs/trace_sink.h"
+#include "serve/daemon.h"
+#include "store/graph_file.h"
 #include "util/cli.h"
 #include "util/rng.h"
 #include "util/table.h"
@@ -43,12 +44,6 @@
 
 namespace locs {
 namespace {
-
-bool EndsWith(const std::string& text, const std::string& suffix) {
-  return text.size() >= suffix.size() &&
-         text.compare(text.size() - suffix.size(), suffix.size(),
-                      suffix) == 0;
-}
 
 // Exit codes. 0 = success, 1 = generic usage/argument error, 2 = bad
 // command line, 64 = unknown subcommand (distinct from `help`, so a
@@ -58,7 +53,6 @@ bool EndsWith(const std::string& text, const std::string& suffix) {
 constexpr int kExitOpenError = 3;       // input file missing/unreadable
 constexpr int kExitParseError = 4;      // input file malformed
 constexpr int kExitTruncatedError = 5;  // input file short/truncated
-constexpr int kExitAllocError = 6;      // graph did not fit in memory
 constexpr int kExitDeadline = 10;       // query interrupted: deadline
 constexpr int kExitBudget = 11;         // query interrupted: work budget
 constexpr int kExitCancelled = 12;      // query interrupted: cancel flag
@@ -72,12 +66,25 @@ int IoExitCode(IoErrorKind kind) {
       return kExitParseError;
     case IoErrorKind::kTruncated:
       return kExitTruncatedError;
-    case IoErrorKind::kAlloc:
-      return kExitAllocError;
     case IoErrorKind::kNone:
       break;
   }
   return 1;
+}
+
+/// Prints a failed load or write of `path` ("line N" for text parse
+/// errors) and returns the matching exit code.
+int ReportIoError(const char* verb, const std::string& path,
+                  const IoError& error) {
+  std::fprintf(stderr, "error: could not %s '%s' (%s error): %s", verb,
+               path.c_str(), std::string(IoErrorKindName(error.kind)).c_str(),
+               error.message.c_str());
+  if (error.line > 0) {
+    std::fprintf(stderr, " (line %llu)",
+                 static_cast<unsigned long long>(error.line));
+  }
+  std::fprintf(stderr, "\n");
+  return IoExitCode(error.kind);
 }
 
 int StatusExitCode(Termination status) {
@@ -123,14 +130,6 @@ int AttachTrace(const CommandLine& cli, const char* label,
   return 0;
 }
 
-bool SaveAuto(const Graph& graph, const std::string& path) {
-  if (EndsWith(path, ".lcsg")) return SaveBinary(graph, path);
-  if (EndsWith(path, ".metis") || EndsWith(path, ".graph")) {
-    return SaveMetis(graph, path);
-  }
-  return SaveEdgeList(graph, path);
-}
-
 /// Prints up to --limit member ids (default 50; 0 = all).
 void PrintMembers(const std::vector<VertexId>& members,
                   const CommandLine& cli) {
@@ -170,7 +169,7 @@ int Usage() {
       "  client    --port=P [--retries=N]         scripted TCP session\n"
       "            [--request-deadline-ms=D]      (N>0: self-healing\n"
       "                                            reconnect + backoff)\n"
-      "exit codes: 0 ok, 3 open, 4 parse, 5 truncated, 6 alloc,\n"
+      "exit codes: 0 ok, 3 open, 4 parse, 5 truncated,\n"
       "            10 deadline, 11 work-budget, 12 cancelled,\n"
       "            64 unknown command\n");
   return 2;
@@ -216,37 +215,16 @@ std::optional<Graph> RequireGraph(const CommandLine& cli, int* exit_code) {
   }
   WallTimer timer;
   IoError error;
-  // Graph images are detected by content so a compiled image works as
-  // --input for every subcommand, whatever it is named.
-  std::optional<Graph> graph;
-  if (store::SniffGraphImage(input)) {
-    auto image = store::LoadGraphImage(input, &error);
-    if (image.has_value()) graph = std::move(image->graph);
-  } else {
-    graph = LoadGraphAuto(input, &error);
-  }
-  if (!graph.has_value()) {
-    if (error.line > 0) {
-      std::fprintf(stderr, "error: could not load '%s' (%s error): %s "
-                   "(line %llu)\n",
-                   input.c_str(),
-                   std::string(IoErrorKindName(error.kind)).c_str(),
-                   error.message.c_str(),
-                   static_cast<unsigned long long>(error.line));
-    } else {
-      std::fprintf(stderr, "error: could not load '%s' (%s error): %s\n",
-                   input.c_str(),
-                   std::string(IoErrorKindName(error.kind)).c_str(),
-                   error.message.c_str());
-    }
-    *exit_code = IoExitCode(error.kind);
+  auto file = store::LoadGraphFile(input, &error);
+  if (!file.has_value()) {
+    *exit_code = ReportIoError("load", input, error);
     return std::nullopt;
   }
   std::fprintf(stderr, "loaded %s: %u vertices, %lu edges (%.0fms)\n",
-               input.c_str(), graph->NumVertices(),
-               static_cast<unsigned long>(graph->NumEdges()),
+               input.c_str(), file->graph.NumVertices(),
+               static_cast<unsigned long>(file->graph.NumEdges()),
                timer.Millis());
-  return graph;
+  return std::move(file->graph);
 }
 
 int CmdStats(const CommandLine& cli) {
@@ -516,7 +494,7 @@ int CmdConvert(const CommandLine& cli) {
     std::fprintf(stderr, "error: --output is required\n");
     return 1;
   }
-  if (!SaveAuto(*graph, output)) {
+  if (!store::SaveGraphFile(*graph, output)) {
     std::fprintf(stderr, "error: could not write '%s'\n", output.c_str());
     return 1;
   }
@@ -564,40 +542,28 @@ int CmdCompile(int argc, char** argv) {
                  "--output=)\n");
     return 2;
   }
-  // Detect by content, like RequireGraph does: feeding a compiled image
-  // back into compile would otherwise surface as a baffling edge-list
-  // parse error.
-  if (store::SniffGraphImage(input)) {
+  WallTimer timer;
+  IoError error;
+  const auto file = store::LoadGraphFile(input, &error);
+  if (!file.has_value()) return ReportIoError("load", input, error);
+  if (file->image.has_value()) {
     std::fprintf(stderr,
                  "error: '%s' is already a compiled graph image; compile "
                  "expects an uncompiled graph input\n",
                  input.c_str());
     return 2;
   }
-  WallTimer timer;
-  IoError error;
-  const auto graph = LoadGraphAuto(input, &error);
-  if (!graph.has_value()) {
-    std::fprintf(stderr, "error: could not load '%s' (%s error): %s\n",
-                 input.c_str(),
-                 std::string(IoErrorKindName(error.kind)).c_str(),
-                 error.message.c_str());
-    return IoExitCode(error.kind);
-  }
+  const Graph& graph = file->graph;
   const double parse_ms = timer.Millis();
   timer.Restart();
-  if (!store::CompileGraphImage(*graph, output, &error)) {
-    std::fprintf(stderr, "error: could not write '%s' (%s error): %s\n",
-                 output.c_str(),
-                 std::string(IoErrorKindName(error.kind)).c_str(),
-                 error.message.c_str());
-    return IoExitCode(error.kind);
+  if (!store::CompileGraphImage(graph, output, &error)) {
+    return ReportIoError("write", output, error);
   }
   std::printf(
       "compiled %s -> %s: %u vertices, %lu edges "
       "(parse %.0fms, index+write %.0fms)\n",
-      input.c_str(), output.c_str(), graph->NumVertices(),
-      static_cast<unsigned long>(graph->NumEdges()), parse_ms,
+      input.c_str(), output.c_str(), graph.NumVertices(),
+      static_cast<unsigned long>(graph.NumEdges()), parse_ms,
       timer.Millis());
   return 0;
 }
@@ -635,7 +601,7 @@ int CmdGenerate(const CommandLine& cli) {
     std::fprintf(stderr, "error: unknown model '%s'\n", model.c_str());
     return 1;
   }
-  if (!SaveAuto(graph, output)) {
+  if (!store::SaveGraphFile(graph, output)) {
     std::fprintf(stderr, "error: could not write '%s'\n", output.c_str());
     return 1;
   }

@@ -32,11 +32,11 @@ cleanup() {
 trap cleanup EXIT
 
 "${cli}" generate --model=lfr --n=2000 --seed=5 \
-  --output="${work}/g.lcsg" >/dev/null
+  --output="${work}/g.txt" >/dev/null
 
 echo "=== smoke: stdio session ==="
 stdio_out="$(printf 'PING\nLOAD g %s\nCST g 7 3 limit=5\nCSM g 7 limit=5\nMULTI g 2 7 8 limit=5\nSTATS\nQUIT\n' \
-  "${work}/g.lcsg" | "${locsd}" --stdio 2>/dev/null)"
+  "${work}/g.txt" | "${locsd}" --stdio 2>/dev/null)"
 echo "${stdio_out}"
 ok_lines="$(grep -c '^OK ' <<<"${stdio_out}")"
 if [[ "${ok_lines}" -ne 7 ]]; then
@@ -49,7 +49,7 @@ grep -q '^OK status=found' <<<"${stdio_out}" || {
 }
 
 echo "=== smoke: image-backed session ==="
-"${cli}" compile "${work}/g.lcsg" "${work}/g.limg"
+"${cli}" compile "${work}/g.txt" "${work}/g.limg"
 img_out="$(printf 'PING\nLOAD g %s\nCST g 7 3 limit=5\nCSM g 7 limit=5\nMULTI g 2 7 8 limit=5\nSTATS\nQUIT\n' \
   "${work}/g.limg" | "${locsd}" --stdio 2>/dev/null)"
 echo "${img_out}"
@@ -88,7 +88,7 @@ fi
 
 echo "=== smoke: TCP loopback session ==="
 "${locsd}" --port=0 --port-file="${work}/port" \
-  --preload=g="${work}/g.lcsg" 2>"${work}/daemon.log" &
+  --preload=g="${work}/g.limg" 2>"${work}/daemon.log" &
 daemon_pid="$!"
 port=""
 for _ in $(seq 1 100); do
