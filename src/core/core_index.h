@@ -70,6 +70,14 @@ class CoreIndex {
   /// O(answer): the CSM answer — v's component of its maxcore (Lemma 4).
   Community Csm(VertexId v) const;
 
+  /// Merge-tree node whose subtree is v's component of the k-core: the
+  /// highest ancestor of v's leaf with level >= k, or kNil when
+  /// core(v) < k. Every k that names the same node names the same vertex
+  /// set, so the node identifies the component.
+  uint32_t AncestorAtLevel(VertexId v, uint32_t k) const;
+  /// Collects the leaves under `node`.
+  std::vector<VertexId> SubtreeLeaves(uint32_t node) const;
+
   /// Number of merge-tree nodes (diagnostics).
   size_t NumTreeNodes() const { return node_level_.size(); }
 
@@ -87,11 +95,6 @@ class CoreIndex {
 
  private:
   CoreIndex() = default;
-
-  /// Highest ancestor of v's leaf whose level is >= k, or kNil.
-  uint32_t AncestorAtLevel(VertexId v, uint32_t k) const;
-  /// Collects the leaves under `node`.
-  std::vector<VertexId> SubtreeLeaves(uint32_t node) const;
 
   /// Per-vertex core numbers (the peel order is build-time scaffolding
   /// and is not retained).

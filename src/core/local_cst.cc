@@ -4,6 +4,7 @@
 #include <span>
 
 #include "core/bounds.h"
+#include "core/core_index.h"
 #include "core/kcore.h"
 #include "core/validate.h"
 #include "graph/subgraph.h"
@@ -107,9 +108,17 @@ SearchResult LocalCstSolver::SolveImpl(VertexId v0, uint32_t k,
     return stop;
   };
 
+  // Index-first plan: a member of core number < k means δ(G[C]) >= k can
+  // never hold, so the query is bound for the fallback — answer it now.
+  const CoreIndex* index = facts_ != nullptr ? facts_->index : nullptr;
+  auto doomed = [&](VertexId v) {
+    return index != nullptr && index->CoreNumber(v) < k;
+  };
+
   obs::PhaseStats& expansion = tracker.Enter(obs::Phase::kExpansion);
   enqueued_.Set(v0);
   AddToC(v0, k, options.strategy, use_ordered, expansion);
+  if (doomed(v0)) return IndexFallback(v0, k, tracker);
   if (spend()) {
     return SearchResult::MakeInterrupted(g.cause(), HarvestExpansion());
   }
@@ -123,6 +132,7 @@ SearchResult LocalCstSolver::SolveImpl(VertexId v0, uint32_t k,
       return GlobalFallback(v0, k, tracker, g, charged);
     }
     AddToC(next, k, options.strategy, use_ordered, expansion);
+    if (doomed(next)) return IndexFallback(v0, k, tracker);
     if (spend()) {
       return SearchResult::MakeInterrupted(g.cause(), HarvestExpansion());
     }
@@ -389,6 +399,43 @@ SearchResult LocalCstSolver::GlobalFallback(VertexId v0, uint32_t k,
     }
   }
   community.min_degree = min_degree;
+  telemetry_.answer_size = community.members.size();
+  return SearchResult::MakeFound(std::move(community));
+}
+
+SearchResult LocalCstSolver::IndexFallback(VertexId v0, uint32_t k,
+                                           obs::PhaseTracker& tracker) {
+  // The line-6 peel would return v0's component of the k-core of G[C],
+  // which is v0's k-core component in G (C contains all of it): exactly
+  // the index's merge-tree subtree. Its δ costs one adjacency scan per
+  // member, paid once per component per solver. Only the harvest's time
+  // is traced — no counters, so replies stay independent of the memo.
+  telemetry_.used_global_fallback = true;
+  tracker.Enter(obs::Phase::kConnectivity);
+  const CoreIndex& index = *facts_->index;
+  const uint32_t node = index.AncestorAtLevel(v0, k);
+  if (node == CoreIndex::kNil) return SearchResult::MakeNotExists();
+  Community community;
+  community.members = index.SubtreeLeaves(node);
+  // v0 leads the member list, as in the BFS harvest.
+  std::iter_swap(community.members.begin(),
+                 std::find(community.members.begin(),
+                           community.members.end(), v0));
+  const auto [memo, inserted] = component_delta_.try_emplace(node, 0);
+  if (inserted) {
+    // Within the k-core, u's neighbors of core >= k are exactly its
+    // neighbors in the component.
+    uint32_t min_degree = ~uint32_t{0};
+    for (VertexId u : community.members) {
+      uint32_t degree = 0;
+      for (VertexId w : graph_.Neighbors(u)) {
+        degree += index.CoreNumber(w) >= k ? 1u : 0u;
+      }
+      min_degree = std::min(min_degree, degree);
+    }
+    memo->second = min_degree;
+  }
+  community.min_degree = memo->second;
   telemetry_.answer_size = community.members.size();
   return SearchResult::MakeFound(std::move(community));
 }

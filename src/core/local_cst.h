@@ -10,12 +10,20 @@
 //   3. if generation exhausts the candidates without qualifying, a global
 //      peel restricted to G[C] (sound by Proposition 4, and exact because
 //      the candidate set always contains the k-core component of v0).
+//      When the facts carry a CoreIndex, step 3 comes early instead: the
+//      first vertex of core number < k to enter C proves δ(G[C]) >= k
+//      unreachable (a qualifying C lies inside the k-core, Lemma 3), so
+//      expansion stops there and the answer — v0's k-core component —
+//      is read from the index. Status, members and δ are those of the
+//      peel; only the work differs.
 //
 // Per-query cost is proportional to the neighborhood actually explored —
 // not to |V| — thanks to epoch-stamped scratch state.
 
 #ifndef LOCS_CORE_LOCAL_CST_H_
 #define LOCS_CORE_LOCAL_CST_H_
+
+#include <unordered_map>
 
 #include "core/bucket_list.h"
 #include "core/common.h"
@@ -28,6 +36,8 @@
 
 namespace locs {
 
+class CoreIndex;
+
 /// Whole-graph facts gathered once and shared by all queries. The
 /// Theorem-3/5 bounds require a connected graph; `connected` gates their
 /// use so the solvers stay correct on disconnected inputs.
@@ -36,6 +46,11 @@ struct GraphFacts {
   uint64_t num_edges = 0;
   uint32_t max_degree = 0;
   bool connected = false;
+  /// The graph's core index, when one is resident (the serving layer's
+  /// ServedGraph points it at its own). Non-null switches LocalCstSolver
+  /// to the index-first plan (see the file comment); null — what Compute
+  /// returns — runs Algorithm 2 as published. Not owned.
+  const CoreIndex* index = nullptr;
 
   static GraphFacts Compute(const Graph& graph);
 };
@@ -74,6 +89,8 @@ class LocalCstSolver {
   SearchResult GlobalFallback(VertexId v0, uint32_t k,
                               obs::PhaseTracker& tracker, QueryGuard& guard,
                               uint64_t& charged);
+  SearchResult IndexFallback(VertexId v0, uint32_t k,
+                             obs::PhaseTracker& tracker);
   Community HarvestExpansion() const;
   Community HarvestUnpeeled(VertexId v0);
   uint32_t InducedMinDegree(const std::vector<VertexId>& members,
@@ -99,6 +116,9 @@ class LocalCstSolver {
   size_t fifo_head_ = 0;
   std::vector<VertexId> c_members_;
   uint64_t deficient_ = 0;          // |{v in C : deg_in_c < k}|
+  // Index plan: δ of a k-core component, keyed by its merge-tree node.
+  // The solver is bound to one graph, so entries never go stale.
+  std::unordered_map<uint32_t, uint32_t> component_delta_;
 };
 
 }  // namespace locs

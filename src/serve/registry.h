@@ -36,6 +36,9 @@ namespace locs::serve {
 
 /// One registered graph plus every shared precomputation. Immutable after
 /// construction; safe for concurrent queries from any number of sessions.
+/// `facts.index` points at the entry's own `index` (so its CST solvers
+/// take the index-first plan), which is why the struct can be neither
+/// copied nor moved.
 struct ServedGraph {
   std::string name;
   std::string source_path;
@@ -61,7 +64,9 @@ struct ServedGraph {
         graph(std::move(graph_in)),
         facts(GraphFacts::Compute(graph)),
         ordered(graph),
-        index(graph) {}
+        index(graph) {
+    facts.index = &index;
+  }
 
   /// Image-backed snapshot: everything was deserialized, nothing is
   /// rebuilt.
@@ -73,7 +78,12 @@ struct ServedGraph {
         facts(image.facts),
         ordered(std::move(image.ordered)),
         index(std::move(image.index)),
-        from_image(true) {}
+        from_image(true) {
+    facts.index = &index;
+  }
+
+  ServedGraph(const ServedGraph&) = delete;
+  ServedGraph& operator=(const ServedGraph&) = delete;
 };
 
 /// Thread-safe name -> ServedGraph map with a capacity cap.

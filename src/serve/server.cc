@@ -2,6 +2,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -151,6 +152,11 @@ void TcpServer::Run() {
     const int fd = ::accept(
         listen_fd_, reinterpret_cast<sockaddr*>(&peer_addr), &peer_len);
     if (fd < 0) continue;  // transient (EINTR, peer reset in backlog)
+    // Replies are one short line each: without TCP_NODELAY, Nagle holds
+    // a reply written while the previous one is still unacknowledged
+    // until the client's delayed ACK (~40 ms) releases it.
+    const int nodelay = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &nodelay, sizeof(nodelay));
     const uint32_t peer = peer_addr.sin_addr.s_addr;
 
     bool admitted = false;

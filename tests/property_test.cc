@@ -1,5 +1,6 @@
 // Property-based differential tests: seeded random graphs from src/gen/,
-// local solvers checked against the global baselines, and the telemetry
+// local solvers checked against the global baselines, the index-first
+// CST plan checked against Algorithm 2 as published, and the telemetry
 // layer checked against the legacy counters and against itself (timing
 // on vs off).
 //
@@ -9,11 +10,13 @@
 // a SCOPED_TRACE carrying the case label (family, size, seed) and the
 // query, so a failure prints the exact combination to replay.
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <string>
 #include <vector>
 
+#include "core/core_index.h"
 #include "core/global.h"
 #include "core/kcore.h"
 #include "core/local_csm.h"
@@ -21,6 +24,7 @@
 #include "core/validate.h"
 #include "gen/barabasi.h"
 #include "gen/erdos_renyi.h"
+#include "gen/lfr.h"
 #include "gen/planted.h"
 #include "graph/ordering.h"
 #include "graph/subgraph.h"
@@ -106,6 +110,85 @@ TEST(PropertyCst, LocalStrategiesAgreeWithGlobalFeasibility) {
       }
     }
   }
+}
+
+// ---------------------------------------------------------------------
+// Index-first CST vs paper mode: a solver whose facts carry the
+// CoreIndex ends doomed expansions early and answers from the index; it
+// must agree with the paper-mode solver on status, member set, δ and
+// the fallback flag, and list v0 first. One solver per mode serves every
+// query of a graph, so later queries on a component read the δ memo.
+// ---------------------------------------------------------------------
+std::vector<GraphCase> IndexPlanGraphs() {
+  std::vector<GraphCase> cases;
+  for (const uint64_t seed : {5u, 23u, 61u}) {
+    const std::string s = "_s" + std::to_string(seed);
+    cases.push_back(
+        {"gnp_n150_p0.05" + s, gen::ErdosRenyiGnp(150, 0.05, seed)});
+    cases.push_back({"ba_n150_m4" + s, gen::BarabasiAlbert(150, 4, seed)});
+    gen::LfrParams lfr;
+    lfr.n = 200;
+    lfr.min_degree = 4;
+    lfr.max_degree = 24;
+    lfr.min_community = 15;
+    lfr.max_community = 50;
+    lfr.mu = 0.2;
+    lfr.seed = seed;
+    cases.push_back({"lfr_n200_mu0.2" + s, gen::Lfr(lfr).graph});
+  }
+  return cases;
+}
+
+std::vector<VertexId> SortedMembers(const SearchResult& result) {
+  std::vector<VertexId> members = result->members;
+  std::sort(members.begin(), members.end());
+  return members;
+}
+
+TEST(PropertyCst, IndexFirstPlanMatchesPaperMode) {
+  uint64_t fallbacks = 0;
+  for (const GraphCase& c : IndexPlanGraphs()) {
+    const GraphFacts paper_facts = GraphFacts::Compute(c.graph);
+    const CoreIndex index(c.graph);
+    GraphFacts index_facts = paper_facts;
+    index_facts.index = &index;
+    const OrderedAdjacency ordered(c.graph);
+    for (const bool use_ordered : {true, false}) {
+      const OrderedAdjacency* adjacency = use_ordered ? &ordered : nullptr;
+      LocalCstSolver paper(c.graph, adjacency, &paper_facts);
+      LocalCstSolver indexed(c.graph, adjacency, &index_facts);
+      for (VertexId v0 = 0; v0 < c.graph.NumVertices(); v0 += 7) {
+        for (uint32_t k = 1; k <= index.Degeneracy() + 1; ++k) {
+          for (const Strategy strategy :
+               {Strategy::kNaive, Strategy::kLG, Strategy::kLI}) {
+            SCOPED_TRACE(c.label + (use_ordered ? " ordered" : " plain") +
+                         " strategy=" + std::string(StrategyName(strategy)) +
+                         " v0=" + std::to_string(v0) +
+                         " k=" + std::to_string(k));
+            CstOptions options;
+            options.strategy = strategy;
+            const SearchResult want = paper.Solve(v0, k, options);
+            const SearchResult got = indexed.Solve(v0, k, options);
+            ASSERT_FALSE(want.Interrupted());
+            ASSERT_FALSE(got.Interrupted());
+            ASSERT_EQ(got.status, want.status);
+            EXPECT_EQ(got.telemetry.used_global_fallback,
+                      want.telemetry.used_global_fallback);
+            EXPECT_EQ(got.telemetry.answer_size, want.telemetry.answer_size);
+            fallbacks += want.telemetry.used_global_fallback ? 1 : 0;
+            if (!want.has_value()) continue;
+            EXPECT_EQ(got->min_degree, want->min_degree);
+            EXPECT_EQ(SortedMembers(got), SortedMembers(want));
+            ASSERT_FALSE(got->members.empty());
+            EXPECT_EQ(got->members[0], v0);
+            EXPECT_EQ(want->members[0], v0);
+          }
+        }
+      }
+    }
+  }
+  // The zoo must actually exercise the plan, not just local successes.
+  EXPECT_GT(fallbacks, 100u);
 }
 
 // ---------------------------------------------------------------------

@@ -1,23 +1,31 @@
 // In-process tests of the serving layer above the parser: sessions over
 // fd transports, the graph registry, admission control (deterministic
 // BUSY via the serve.slow_query failpoint), graceful drain, metrics
-// consistency, and concurrent sessions through the real TcpServer.
+// consistency, the index-first CST plan as served, and concurrent
+// sessions through the real TcpServer.
 
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
 #include <fcntl.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "core/core_index.h"
+#include "core/local_cst.h"
 #include "gen/classic.h"
+#include "gen/erdos_renyi.h"
+#include "graph/builder.h"
 #include "graph/io.h"
 #include "serve/admission.h"
 #include "serve/server.h"
@@ -334,6 +342,215 @@ TEST(ServeSessionTest, BoundedQueueAdmitsThenRejects) {
   EXPECT_TRUE(StartsWith(third[0], "BUSY")) << third[0];
 }
 
+// --- Index-first CST plan ------------------------------------------------
+//
+// A ServedGraph's facts carry its CoreIndex, so a CST whose expansion
+// meets a vertex of core number < k ends there and is answered from the
+// index. The replies must be those of Algorithm 2 as published.
+
+/// Value of ` key=` in a reply ("" when absent).
+std::string Field(const std::string& reply, const std::string& key) {
+  const std::string needle = " " + key + "=";
+  const size_t at = reply.find(needle);
+  if (at == std::string::npos) return "";
+  const size_t begin = at + needle.size();
+  return reply.substr(begin, reply.find(' ', begin) - begin);
+}
+
+/// Paper-mode CST with the session's default options.
+SearchResult PaperCst(const Graph& graph, VertexId v0, uint32_t k) {
+  const GraphFacts facts = GraphFacts::Compute(graph);
+  const OrderedAdjacency ordered(graph);
+  LocalCstSolver solver(graph, &ordered, &facts);
+  return solver.Solve(v0, k);
+}
+
+/// Vertices whose paper-mode CST(k) is found by the global fallback.
+std::vector<VertexId> FallbackVertices(const Graph& graph, uint32_t k) {
+  const GraphFacts facts = GraphFacts::Compute(graph);
+  const OrderedAdjacency ordered(graph);
+  LocalCstSolver solver(graph, &ordered, &facts);
+  std::vector<VertexId> found;
+  for (VertexId v = 0; v < graph.NumVertices(); ++v) {
+    const SearchResult result = solver.Solve(v, k);
+    if (result.has_value() && result.telemetry.used_global_fallback) {
+      found.push_back(v);
+    }
+  }
+  return found;
+}
+
+constexpr uint32_t kPlanK = 5;
+
+Graph PlanGraph() { return gen::ErdosRenyiGnp(300, 0.03, 7); }
+
+/// "CST <graph> <v0> <kPlanK><options>".
+std::string PlanQuery(const std::string& graph, VertexId v0,
+                      const std::string& options = "") {
+  std::string line = "CST ";
+  line += graph;
+  line += ' ';
+  line += std::to_string(v0);
+  line += ' ';
+  line += std::to_string(kPlanK);
+  line += options;
+  return line;
+}
+
+TEST(ServeIndexPlanTest, FallbackAnswerSameOverTextAndImage) {
+  const Graph graph = PlanGraph();
+  const std::vector<VertexId> fallbacks = FallbackVertices(graph, kPlanK);
+  ASSERT_FALSE(fallbacks.empty());
+  const VertexId v0 = fallbacks.front();
+  const SearchResult want = PaperCst(graph, v0, kPlanK);
+
+  const std::string text_path = TempPath("serve_plan.metis");
+  const std::string image_path = TempPath("serve_plan.limg");
+  ASSERT_TRUE(store::SaveGraphFile(graph, text_path));
+  ASSERT_TRUE(store::SaveGraphFile(graph, image_path));
+  ServeFixture fix;
+  const std::string options = " limit=1 trace=1";
+  const auto replies = fix.Run(
+      {"LOAD t " + text_path, "LOADIMG i " + image_path,
+       PlanQuery("t", v0, options), PlanQuery("i", v0, options)},
+      "plan_text_image");
+  ASSERT_EQ(replies.size(), 4u);
+  EXPECT_NE(replies[0].find("source=text"), std::string::npos) << replies[0];
+  EXPECT_NE(replies[1].find("source=image"), std::string::npos) << replies[1];
+  for (const std::string& reply : {replies[2], replies[3]}) {
+    SCOPED_TRACE(reply);
+    EXPECT_TRUE(StartsWith(reply, "OK status=found"));
+    EXPECT_EQ(Field(reply, "n"), std::to_string(want->members.size()));
+    EXPECT_EQ(Field(reply, "delta"), std::to_string(want->min_degree));
+    EXPECT_EQ(Field(reply, "members"), std::to_string(v0));
+    EXPECT_EQ(Field(reply, "fallback"), "1");
+    // The expansion ended at its first core<k vertex, well short of the
+    // paper's exhausted candidate set.
+    EXPECT_LT(std::stoull(Field(reply, "visited")) * 2,
+              want.telemetry.TotalVisited());
+  }
+  EXPECT_EQ(replies[2], replies[3]);
+}
+
+TEST(ServeIndexPlanTest, SecondQueryOnComponentMatchesFreshSolver) {
+  const Graph graph = PlanGraph();
+  const CoreIndex index(graph);
+  const std::vector<VertexId> fallbacks = FallbackVertices(graph, kPlanK);
+  // Two fallback queries on one k-core component: the second reads the
+  // δ the first one memoised.
+  VertexId first = kInvalidVertex;
+  VertexId second = kInvalidVertex;
+  for (size_t i = 0; i < fallbacks.size() && second == kInvalidVertex; ++i) {
+    for (size_t j = i + 1; j < fallbacks.size(); ++j) {
+      if (index.AncestorAtLevel(fallbacks[i], kPlanK) ==
+          index.AncestorAtLevel(fallbacks[j], kPlanK)) {
+        first = fallbacks[i];
+        second = fallbacks[j];
+        break;
+      }
+    }
+  }
+  ASSERT_NE(second, kInvalidVertex);
+
+  const std::string path = TempPath("serve_plan_memo.limg");
+  ASSERT_TRUE(store::SaveGraphFile(graph, path));
+  ServeFixture fix;
+  const auto replies = fix.Run(
+      {"LOADIMG g " + path, PlanQuery("g", first), PlanQuery("g", second)},
+      "plan_memo");
+  ASSERT_EQ(replies.size(), 3u);
+
+  // A fresh index-bound solver (empty memo) and the paper-mode one.
+  GraphFacts facts = GraphFacts::Compute(graph);
+  facts.index = &index;
+  const OrderedAdjacency ordered(graph);
+  LocalCstSolver fresh(graph, &ordered, &facts);
+  const SearchResult got = fresh.Solve(second, kPlanK);
+  const SearchResult want = PaperCst(graph, second, kPlanK);
+  ASSERT_TRUE(got.has_value());
+  std::string members;
+  for (const VertexId v : got->members) {
+    if (!members.empty()) members += ',';
+    members += std::to_string(v);
+  }
+  EXPECT_EQ(Field(replies[2], "n"), std::to_string(want->members.size()));
+  EXPECT_EQ(Field(replies[2], "delta"), std::to_string(want->min_degree));
+  EXPECT_EQ(Field(replies[2], "members"), members);
+  EXPECT_EQ(std::set<VertexId>(got->members.begin(), got->members.end()),
+            std::set<VertexId>(want->members.begin(), want->members.end()));
+}
+
+/// `graph` plus edges inside v0's k-core component until every member
+/// has k+1 neighbors there: the same component with a larger δ.
+Graph RaiseComponentDelta(const Graph& graph, VertexId v0, uint32_t k) {
+  const std::vector<VertexId> component = CoreIndex(graph).CstMembers(v0, k);
+  const std::set<VertexId> in_component(component.begin(), component.end());
+  std::vector<std::set<VertexId>> adjacency(graph.NumVertices());
+  for (VertexId u = 0; u < graph.NumVertices(); ++u) {
+    adjacency[u].insert(graph.Neighbors(u).begin(), graph.Neighbors(u).end());
+  }
+  auto inner_degree = [&](VertexId u) {
+    return std::count_if(adjacency[u].begin(), adjacency[u].end(),
+                         [&](VertexId w) { return in_component.count(w); });
+  };
+  for (const VertexId u : component) {
+    for (const VertexId w : component) {
+      if (inner_degree(u) > k) break;
+      if (w != u && adjacency[u].insert(w).second) adjacency[w].insert(u);
+    }
+  }
+  EdgeList edges;
+  for (VertexId u = 0; u < graph.NumVertices(); ++u) {
+    for (const VertexId w : adjacency[u]) {
+      if (u < w) edges.emplace_back(u, w);
+    }
+  }
+  return BuildGraph(graph.NumVertices(), edges);
+}
+
+TEST(ServeIndexPlanTest, ReloadUnderSameNameNeverReusesOldDelta) {
+  // Two graphs on one vertex set where v0's CST falls back on both and
+  // its k-core component has the same merge-tree node but a different
+  // δ: a δ memo that outlived the re-LOAD would answer with the old one.
+  const Graph before = gen::ErdosRenyiGnp(300, 0.03, 1);
+  const CoreIndex before_index(before);
+  VertexId v0 = kInvalidVertex;
+  Graph after;
+  for (const VertexId v : FallbackVertices(before, kPlanK)) {
+    Graph raised = RaiseComponentDelta(before, v, kPlanK);
+    const SearchResult result = PaperCst(raised, v, kPlanK);
+    if (result.has_value() && result.telemetry.used_global_fallback &&
+        CoreIndex(raised).AncestorAtLevel(v, kPlanK) ==
+            before_index.AncestorAtLevel(v, kPlanK)) {
+      v0 = v;
+      after = std::move(raised);
+      break;
+    }
+  }
+  ASSERT_NE(v0, kInvalidVertex);
+  const SearchResult want_before = PaperCst(before, v0, kPlanK);
+  const SearchResult want_after = PaperCst(after, v0, kPlanK);
+  ASSERT_NE(want_before->min_degree, want_after->min_degree);
+
+  const std::string before_path = TempPath("serve_plan_before.limg");
+  const std::string after_path = TempPath("serve_plan_after.limg");
+  ASSERT_TRUE(store::SaveGraphFile(before, before_path));
+  ASSERT_TRUE(store::SaveGraphFile(after, after_path));
+  ServeFixture fix;
+  const std::string query = PlanQuery("g", v0, " limit=1 trace=1");
+  const auto replies = fix.Run(
+      {"LOADIMG g " + before_path, query, "LOADIMG g " + after_path, query},
+      "plan_reload");
+  ASSERT_EQ(replies.size(), 4u);
+  EXPECT_EQ(Field(replies[1], "delta"),
+            std::to_string(want_before->min_degree));
+  EXPECT_EQ(Field(replies[3], "delta"),
+            std::to_string(want_after->min_degree));
+  EXPECT_EQ(Field(replies[3], "n"),
+            std::to_string(want_after->members.size()));
+  EXPECT_EQ(Field(replies[3], "fallback"), "1");
+}
+
 // --- TCP front end -------------------------------------------------------
 
 /// Connects to 127.0.0.1:port, sends `script`, reads replies until the
@@ -476,6 +693,68 @@ TEST(TcpServerTest, StopUnblocksIdleSessions) {
   server.Stop();        // session is idle in ReadLine at this point
   accept_thread.join();  // must not hang
   EXPECT_EQ(server.active_sessions(), 0u);
+}
+
+TEST(TcpServerTest, AcceptedSocketsSetNoDelay) {
+  // Each reply is one short line; with Nagle on, a reply written while the
+  // previous one is unacknowledged waits for the client's delayed ACK.
+  ServerOptions options;
+  CommunityServer shared(options);
+  Executor executor(3);
+  TcpServer server(shared, executor, options);
+  std::string error;
+  ASSERT_TRUE(server.Start(&error)) << error;
+  std::thread accept_thread([&] { server.Run(); });
+
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(server.port());
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(
+      ::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)),
+      0);
+  FdTransport client(fd, fd, /*owns_fds=*/true);
+  ASSERT_TRUE(client.WriteLine("PING"));
+  std::string line;
+  ASSERT_EQ(client.ReadLine(&line), Transport::ReadStatus::kLine);
+  sockaddr_in client_addr{};
+  socklen_t len = sizeof(client_addr);
+  ASSERT_EQ(::getsockname(fd, reinterpret_cast<sockaddr*>(&client_addr),
+                          &len),
+            0);
+
+  // The server runs in this process: its end of the connection is the
+  // descriptor bound to the server port whose peer is our client port.
+  int served_fd = -1;
+  for (int candidate = 0; candidate < 4096 && served_fd < 0; ++candidate) {
+    sockaddr_in local{};
+    sockaddr_in peer{};
+    socklen_t local_len = sizeof(local);
+    socklen_t peer_len = sizeof(peer);
+    if (::getsockname(candidate, reinterpret_cast<sockaddr*>(&local),
+                      &local_len) != 0 ||
+        ::getpeername(candidate, reinterpret_cast<sockaddr*>(&peer),
+                      &peer_len) != 0) {
+      continue;
+    }
+    if (local.sin_family == AF_INET && local.sin_port == addr.sin_port &&
+        peer.sin_port == client_addr.sin_port) {
+      served_fd = candidate;
+    }
+  }
+  ASSERT_GE(served_fd, 0);
+  int nodelay = 0;
+  socklen_t nodelay_len = sizeof(nodelay);
+  ASSERT_EQ(::getsockopt(served_fd, IPPROTO_TCP, TCP_NODELAY, &nodelay,
+                         &nodelay_len),
+            0);
+  EXPECT_NE(nodelay, 0);
+
+  EXPECT_TRUE(client.WriteLine("QUIT"));
+  server.Stop();
+  accept_thread.join();
 }
 
 }  // namespace
