@@ -145,6 +145,7 @@ CoreIndex::CoreIndex(const Graph& graph) {
   node_first_child_ = ConstArray<uint32_t>(std::move(first_child));
   node_next_sibling_ = ConstArray<uint32_t>(std::move(next_sibling));
   node_vertex_ = ConstArray<VertexId>(std::move(vertex));
+  BuildLeafLayout();
 }
 
 CoreIndex CoreIndex::FromParts(ConstArray<uint32_t> core, uint32_t degeneracy,
@@ -161,11 +162,44 @@ CoreIndex CoreIndex::FromParts(ConstArray<uint32_t> core, uint32_t degeneracy,
   index.node_first_child_ = std::move(node_first_child);
   index.node_next_sibling_ = std::move(node_next_sibling);
   index.node_vertex_ = std::move(node_vertex);
+  index.BuildLeafLayout();
   return index;
 }
 
+void CoreIndex::BuildLeafLayout() {
+  const auto nodes = static_cast<uint32_t>(node_level_.size());
+  // Parents sit in higher slots than their children, so one upward sweep
+  // totals every subtree's leaves and one downward sweep carves each
+  // node's slice among its children in stack-DFS order (last sibling
+  // first), placing each leaf's vertex at its slice.
+  std::vector<uint32_t> count(nodes, 0);
+  for (uint32_t node = 0; node < nodes; ++node) {
+    if (node_vertex_[node] != kNil) ++count[node];
+    if (node_parent_[node] != kNil) count[node_parent_[node]] += count[node];
+  }
+  std::vector<uint32_t> first(nodes, 0);
+  std::vector<VertexId> order(core_.size());
+  uint32_t next_root = 0;
+  for (uint32_t node = nodes; node-- > 0;) {
+    if (node_parent_[node] == kNil) {
+      first[node] = next_root;
+      next_root += count[node];
+    }
+    if (node_vertex_[node] != kNil) order[first[node]] = node_vertex_[node];
+    uint32_t end = first[node] + count[node];
+    for (uint32_t child = node_first_child_[node]; child != kNil;
+         child = node_next_sibling_[child]) {
+      end -= count[child];
+      first[child] = end;
+    }
+  }
+  leaf_order_ = ConstArray<VertexId>(std::move(order));
+  node_first_leaf_ = ConstArray<uint32_t>(std::move(first));
+  node_leaf_count_ = ConstArray<uint32_t>(std::move(count));
+}
+
 uint32_t CoreIndex::AncestorAtLevel(VertexId v, uint32_t k) const {
-  if (core_[v] < k) return kNil;
+  if (CoreNumber(v) < k) return kNil;
   uint32_t node = v;  // leaf
   while (node_parent_[node] != kNil &&
          node_level_[node_parent_[node]] >= k) {
@@ -174,35 +208,17 @@ uint32_t CoreIndex::AncestorAtLevel(VertexId v, uint32_t k) const {
   return node;
 }
 
-std::vector<VertexId> CoreIndex::SubtreeLeaves(uint32_t node) const {
-  std::vector<VertexId> members;
-  std::vector<uint32_t> stack = {node};
-  while (!stack.empty()) {
-    const uint32_t cur = stack.back();
-    stack.pop_back();
-    if (node_vertex_[cur] != kNil) {
-      members.push_back(node_vertex_[cur]);
-      continue;
-    }
-    for (uint32_t child = node_first_child_[cur]; child != kNil;
-         child = node_next_sibling_[child]) {
-      stack.push_back(child);
-    }
-  }
-  return members;
-}
-
 std::vector<VertexId> CoreIndex::CstMembers(VertexId v, uint32_t k) const {
-  LOCS_CHECK_LT(v, node_vertex_.size());
   const uint32_t node = AncestorAtLevel(v, k);
   if (node == kNil) return {};
-  return SubtreeLeaves(node);
+  const std::span<const VertexId> leaves = SubtreeLeaves(node);
+  return {leaves.begin(), leaves.end()};
 }
 
 Community CoreIndex::Csm(VertexId v) const {
   Community community;
-  community.min_degree = core_[v];
-  community.members = CstMembers(v, core_[v]);
+  community.min_degree = CoreNumber(v);
+  community.members = CstMembers(v, community.min_degree);
   return community;
 }
 

@@ -17,17 +17,32 @@
 // whenever components merge while processing level k, the merge tree gains
 // a node at level k whose subtree leaves are exactly the members of that
 // component of the k-core. A query walks from the query vertex's leaf to
-// the highest ancestor with level >= k and lists its subtree.
+// the highest ancestor with level >= k and copies its subtree's leaves.
+//
+// Leaf layout: the leaves of every root are stored in stack-DFS order
+// (children pushed in sibling order), so each subtree's leaves form one
+// contiguous slice, recorded per node as (first position, leaf count).
+// Listing a component is one slice copy. A leaf's first position is its
+// vertex's rank, so v sits at offset first[v] - first[node] of any
+// ancestor's slice. The layout is derived in O(nodes) at construction
+// and load; it is not part of the image.
+//
+// δ of a component is its node's level L: L is the least core number in
+// the component, so the component lies in the L-core (δ >= L), and a
+// member of core exactly L cannot have L + 1 neighbors in it, or the
+// component would lie in the (L + 1)-core (δ <= L).
 
 #ifndef LOCS_CORE_CORE_INDEX_H_
 #define LOCS_CORE_CORE_INDEX_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/common.h"
 #include "core/kcore.h"
 #include "graph/graph.h"
+#include "util/check.h"
 #include "util/const_array.h"
 
 namespace locs {
@@ -45,8 +60,8 @@ class CoreIndex {
   /// Adopts a precomputed index (the store/ image loader). The caller is
   /// responsible for structural validity: `core` has one entry per
   /// vertex, the five node arrays share one length >= core.size(), tree
-  /// links are in-range or kNil, and slots [0, core.size()) are the
-  /// vertex leaves.
+  /// links are in-range or kNil, every parent sits in a higher slot than
+  /// its children, and slots [0, core.size()) are the vertex leaves.
   static CoreIndex FromParts(ConstArray<uint32_t> core, uint32_t degeneracy,
                              ConstArray<uint32_t> node_level,
                              ConstArray<uint32_t> node_parent,
@@ -54,14 +69,20 @@ class CoreIndex {
                              ConstArray<uint32_t> node_next_sibling,
                              ConstArray<VertexId> node_vertex);
 
+  /// Number of indexed vertices.
+  size_t NumVertices() const { return core_.size(); }
+
   /// Core number of `v` — equals m*(G, v) (Lemma 4).
-  uint32_t CoreNumber(VertexId v) const { return core_[v]; }
+  uint32_t CoreNumber(VertexId v) const {
+    LOCS_CHECK_LT(v, core_.size());
+    return core_[v];
+  }
 
   /// Degeneracy of the indexed graph.
   uint32_t Degeneracy() const { return degeneracy_; }
 
   /// O(1): true iff CST(k) has an answer for v (v lies in the k-core).
-  bool HasCst(VertexId v, uint32_t k) const { return core_[v] >= k; }
+  bool HasCst(VertexId v, uint32_t k) const { return CoreNumber(v) >= k; }
 
   /// O(answer): the maximal CST(k) answer — the connected component of v
   /// in the k-core (Lemma 3) — or an empty vector.
@@ -73,10 +94,23 @@ class CoreIndex {
   /// Merge-tree node whose subtree is v's component of the k-core: the
   /// highest ancestor of v's leaf with level >= k, or kNil when
   /// core(v) < k. Every k that names the same node names the same vertex
-  /// set, so the node identifies the component.
+  /// set, so the node identifies the component, and for k >= 1 its level
+  /// is the component's minimum degree δ.
   uint32_t AncestorAtLevel(VertexId v, uint32_t k) const;
-  /// Collects the leaves under `node`.
-  std::vector<VertexId> SubtreeLeaves(uint32_t node) const;
+  /// The leaves under `node`: one slice of the leaf layout, valid while
+  /// the index lives.
+  std::span<const VertexId> SubtreeLeaves(uint32_t node) const {
+    return leaf_order_.span().subspan(node_first_leaf_[node],
+                                      node_leaf_count_[node]);
+  }
+  /// Position of vertex `v` within SubtreeLeaves(node); `node` must be an
+  /// ancestor of v's leaf (e.g. AncestorAtLevel(v, k)).
+  uint32_t LeafOffset(uint32_t node, VertexId v) const {
+    LOCS_CHECK_LT(v, core_.size());
+    const uint32_t offset = node_first_leaf_[v] - node_first_leaf_[node];
+    LOCS_CHECK_LT(offset, node_leaf_count_[node]);
+    return offset;
+  }
 
   /// Number of merge-tree nodes (diagnostics).
   size_t NumTreeNodes() const { return node_level_.size(); }
@@ -96,6 +130,9 @@ class CoreIndex {
  private:
   CoreIndex() = default;
 
+  /// Derives the leaf layout from the tree arrays (see the file comment).
+  void BuildLeafLayout();
+
   /// Per-vertex core numbers (the peel order is build-time scaffolding
   /// and is not retained).
   ConstArray<uint32_t> core_;
@@ -109,6 +146,11 @@ class CoreIndex {
   ConstArray<uint32_t> node_next_sibling_;
   /// Leaf payload: the vertex id (kNil for internal nodes).
   ConstArray<VertexId> node_vertex_;
+
+  // Leaf layout: vertices in DFS leaf order, and each node's slice of it.
+  ConstArray<VertexId> leaf_order_;
+  ConstArray<uint32_t> node_first_leaf_;
+  ConstArray<uint32_t> node_leaf_count_;
 };
 
 }  // namespace locs

@@ -407,35 +407,20 @@ SearchResult LocalCstSolver::IndexFallback(VertexId v0, uint32_t k,
                                            obs::PhaseTracker& tracker) {
   // The line-6 peel would return v0's component of the k-core of G[C],
   // which is v0's k-core component in G (C contains all of it): exactly
-  // the index's merge-tree subtree. Its δ costs one adjacency scan per
-  // member, paid once per component per solver. Only the harvest's time
-  // is traced — no counters, so replies stay independent of the memo.
+  // the leaves of the index's merge-tree node, with δ its level. Only
+  // the copy's time is traced — no counters.
   telemetry_.used_global_fallback = true;
   tracker.Enter(obs::Phase::kConnectivity);
   const CoreIndex& index = *facts_->index;
   const uint32_t node = index.AncestorAtLevel(v0, k);
   if (node == CoreIndex::kNil) return SearchResult::MakeNotExists();
+  const std::span<const VertexId> leaves = index.SubtreeLeaves(node);
   Community community;
-  community.members = index.SubtreeLeaves(node);
+  community.members.assign(leaves.begin(), leaves.end());
   // v0 leads the member list, as in the BFS harvest.
-  std::iter_swap(community.members.begin(),
-                 std::find(community.members.begin(),
-                           community.members.end(), v0));
-  const auto [memo, inserted] = component_delta_.try_emplace(node, 0);
-  if (inserted) {
-    // Within the k-core, u's neighbors of core >= k are exactly its
-    // neighbors in the component.
-    uint32_t min_degree = ~uint32_t{0};
-    for (VertexId u : community.members) {
-      uint32_t degree = 0;
-      for (VertexId w : graph_.Neighbors(u)) {
-        degree += index.CoreNumber(w) >= k ? 1u : 0u;
-      }
-      min_degree = std::min(min_degree, degree);
-    }
-    memo->second = min_degree;
-  }
-  community.min_degree = memo->second;
+  std::swap(community.members.front(),
+            community.members[index.LeafOffset(node, v0)]);
+  community.min_degree = index.node_level()[node];
   telemetry_.answer_size = community.members.size();
   return SearchResult::MakeFound(std::move(community));
 }

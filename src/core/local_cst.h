@@ -14,16 +14,15 @@
 //      first vertex of core number < k to enter C proves δ(G[C]) >= k
 //      unreachable (a qualifying C lies inside the k-core, Lemma 3), so
 //      expansion stops there and the answer — v0's k-core component —
-//      is read from the index. Status, members and δ are those of the
-//      peel; only the work differs.
+//      is one slice copy of the index's leaf layout, with δ the level of
+//      its merge-tree node. Status, members and δ are those of the peel;
+//      only the work differs.
 //
 // Per-query cost is proportional to the neighborhood actually explored —
 // not to |V| — thanks to epoch-stamped scratch state.
 
 #ifndef LOCS_CORE_LOCAL_CST_H_
 #define LOCS_CORE_LOCAL_CST_H_
-
-#include <unordered_map>
 
 #include "core/bucket_list.h"
 #include "core/common.h"
@@ -116,9 +115,6 @@ class LocalCstSolver {
   size_t fifo_head_ = 0;
   std::vector<VertexId> c_members_;
   uint64_t deficient_ = 0;          // |{v in C : deg_in_c < k}|
-  // Index plan: δ of a k-core component, keyed by its merge-tree node.
-  // The solver is bound to one graph, so entries never go stale.
-  std::unordered_map<uint32_t, uint32_t> component_delta_;
 };
 
 }  // namespace locs

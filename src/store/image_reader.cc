@@ -72,8 +72,12 @@ uint64_t FileChecksum(const char* base, size_t size) {
 /// the root (merges happen at or below their children's level — the
 /// invariant AncestorAtLevel's upward walk relies on to stop at the
 /// right node), leaves childless, and sibling chains duplicate-free and
-/// consistent with the parent array. This bounds every tree walk a
-/// query performs and pins the node each walk lands on.
+/// consistent with the parent array both ways: every chain member points
+/// back to the chain's owner, and every node with a parent sits on that
+/// parent's chain. This bounds every tree walk a query performs, pins
+/// the node each walk lands on, and makes the leaf layout (which totals
+/// counts through parents but hands out slices along chains) give every
+/// node a slice inside its parent's.
 bool ValidateTree(std::span<const uint32_t> level,
                   std::span<const uint32_t> parent,
                   std::span<const uint32_t> first_child,
@@ -99,6 +103,9 @@ bool ValidateTree(std::span<const uint32_t> level,
       if (child >= t || seen[child] || parent[child] != p) return false;
       seen[child] = true;
     }
+  }
+  for (uint32_t i = 0; i < t; ++i) {
+    if (parent[i] != kNil && !seen[i]) return false;
   }
   return true;
 }

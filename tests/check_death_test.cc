@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/core_index.h"
 #include "gen/classic.h"
 #include "graph/builder.h"
 #include "graph/graph.h"
@@ -36,6 +37,22 @@ TEST(CheckDeathTest, Figure1LabelBounds) {
 
 TEST(CheckDeathTest, CycleRequiresThreeVertices) {
   EXPECT_DEATH(gen::Cycle(2), "LOCS_CHECK failed");
+}
+
+TEST(CheckDeathTest, CoreIndexRejectsOutOfRangeVertex) {
+  // The merge tree has more node slots than vertices; an id past the
+  // vertices must trap even where it still names a tree node.
+  const CoreIndex index(gen::Barbell(5, 1));
+  const auto n = static_cast<VertexId>(index.NumVertices());
+  const auto last_node = static_cast<VertexId>(index.NumTreeNodes() - 1);
+  ASSERT_GE(last_node, n);
+  for (const VertexId v : {n, last_node}) {
+    EXPECT_DEATH(index.CoreNumber(v), "LOCS_CHECK failed");
+    EXPECT_DEATH(index.HasCst(v, 1), "LOCS_CHECK failed");
+    EXPECT_DEATH(index.AncestorAtLevel(v, 1), "LOCS_CHECK failed");
+    EXPECT_DEATH(index.CstMembers(v, 1), "LOCS_CHECK failed");
+    EXPECT_DEATH(index.Csm(v), "LOCS_CHECK failed");
+  }
 }
 
 }  // namespace

@@ -1,8 +1,9 @@
 // Property-based differential tests: seeded random graphs from src/gen/,
 // local solvers checked against the global baselines, the index-first
-// CST plan checked against Algorithm 2 as published, and the telemetry
-// layer checked against the legacy counters and against itself (timing
-// on vs off).
+// CST plan checked against Algorithm 2 as published, the CoreIndex leaf
+// layout and node levels checked against a reference DFS and a δ
+// recount, and the telemetry layer checked against the legacy counters
+// and against itself (timing on vs off).
 //
 // Three graph families (Erdős–Rényi, Barabási–Albert, planted partition)
 // × three seeds × several query vertices × several k give well over 50
@@ -13,7 +14,11 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <optional>
+#include <set>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/core_index.h"
@@ -23,13 +28,17 @@
 #include "core/local_cst.h"
 #include "core/validate.h"
 #include "gen/barabasi.h"
+#include "gen/classic.h"
 #include "gen/erdos_renyi.h"
 #include "gen/lfr.h"
 #include "gen/planted.h"
+#include "gen/powerlaw.h"
 #include "graph/ordering.h"
 #include "graph/subgraph.h"
 #include "gtest/gtest.h"
 #include "obs/recorder.h"
+#include "store/image.h"
+#include "test_util.h"
 
 namespace locs {
 namespace {
@@ -116,8 +125,13 @@ TEST(PropertyCst, LocalStrategiesAgreeWithGlobalFeasibility) {
 // Index-first CST vs paper mode: a solver whose facts carry the
 // CoreIndex ends doomed expansions early and answers from the index; it
 // must agree with the paper-mode solver on status, member set, δ and
-// the fallback flag, and list v0 first. One solver per mode serves every
-// query of a graph, so later queries on a component read the δ memo.
+// the fallback flag, and list v0 first. An index answer keeps the exact
+// member order of the merge-tree DFS harvest it replaced, so replies
+// that print a prefix of the members stay byte-identical. One solver
+// per mode serves every query of a graph, so any state a solver carried
+// from one query to the next would show. The graphs add caveman,
+// power-law, barbell and Figure-1 shapes to the random families; some
+// of their index answers are components whose δ lies above k.
 // ---------------------------------------------------------------------
 std::vector<GraphCase> IndexPlanGraphs() {
   std::vector<GraphCase> cases;
@@ -135,8 +149,37 @@ std::vector<GraphCase> IndexPlanGraphs() {
     lfr.mu = 0.2;
     lfr.seed = seed;
     cases.push_back({"lfr_n200_mu0.2" + s, gen::Lfr(lfr).graph});
+    cases.push_back(
+        {"caveman_6x5-12_r0.15" + s,
+         gen::RelaxedCaveman({5, 6, 8, 9, 10, 12}, 0.15, seed).graph});
+    cases.push_back({"powerlaw_n200_e2.2" + s,
+                     gen::PowerLawGraph(200, 2.2, 2, 30, seed)});
   }
+  cases.push_back({"barbell_k6_b2", gen::Barbell(6, 2)});
+  cases.push_back({"paper_figure1", gen::PaperFigure1()});
   return cases;
+}
+
+/// The leaves under `node` in the order of the stack DFS the leaf layout
+/// stores: children pushed in sibling order, so the last sibling's
+/// leaves come first.
+std::vector<VertexId> ReferenceLeaves(const CoreIndex& index,
+                                      uint32_t node) {
+  std::vector<VertexId> leaves;
+  std::vector<uint32_t> stack = {node};
+  while (!stack.empty()) {
+    const uint32_t cur = stack.back();
+    stack.pop_back();
+    if (index.node_vertex()[cur] != CoreIndex::kNil) {
+      leaves.push_back(index.node_vertex()[cur]);
+      continue;
+    }
+    for (uint32_t child = index.node_first_child()[cur];
+         child != CoreIndex::kNil; child = index.node_next_sibling()[child]) {
+      stack.push_back(child);
+    }
+  }
+  return leaves;
 }
 
 std::vector<VertexId> SortedMembers(const SearchResult& result) {
@@ -147,6 +190,7 @@ std::vector<VertexId> SortedMembers(const SearchResult& result) {
 
 TEST(PropertyCst, IndexFirstPlanMatchesPaperMode) {
   uint64_t fallbacks = 0;
+  uint64_t above_k = 0;  // index answers whose component level exceeds k
   for (const GraphCase& c : IndexPlanGraphs()) {
     const GraphFacts paper_facts = GraphFacts::Compute(c.graph);
     const CoreIndex index(c.graph);
@@ -182,13 +226,82 @@ TEST(PropertyCst, IndexFirstPlanMatchesPaperMode) {
             ASSERT_FALSE(got->members.empty());
             EXPECT_EQ(got->members[0], v0);
             EXPECT_EQ(want->members[0], v0);
+            if (got.telemetry.used_global_fallback) {
+              const uint32_t node = index.AncestorAtLevel(v0, k);
+              above_k += index.node_level()[node] > k ? 1 : 0;
+              std::vector<VertexId> order = ReferenceLeaves(index, node);
+              std::iter_swap(order.begin(),
+                             std::find(order.begin(), order.end(), v0));
+              EXPECT_EQ(got->members, order);
+            }
           }
         }
       }
     }
   }
-  // The zoo must actually exercise the plan, not just local successes.
+  // The zoo must actually exercise the plan, not just local successes,
+  // including components whose δ lies above k.
   EXPECT_GT(fallbacks, 100u);
+  EXPECT_GT(above_k, 0u);
+}
+
+// ---------------------------------------------------------------------
+// CoreIndex leaf layout and δ = node level, for an index built from the
+// graph and for the same index after a .limg write and load (the layout
+// is derived at load, not stored): every node's slice equals the
+// reference stack DFS, and for every reachable (node, k) the node's
+// level equals the recomputed minimum of |N(u) ∩ {core >= k}| over its
+// leaves — the component's δ, since within the k-core those neighbors
+// are exactly u's neighbors in the component.
+// ---------------------------------------------------------------------
+void ExpectLayoutAndDelta(const Graph& graph, const CoreIndex& index) {
+  for (uint32_t node = 0; node < index.NumTreeNodes(); ++node) {
+    SCOPED_TRACE("node=" + std::to_string(node));
+    const std::span<const VertexId> slice = index.SubtreeLeaves(node);
+    EXPECT_EQ(std::vector<VertexId>(slice.begin(), slice.end()),
+              ReferenceLeaves(index, node));
+  }
+  std::set<std::pair<uint32_t, uint32_t>> checked;
+  for (VertexId v = 0; v < graph.NumVertices(); ++v) {
+    for (uint32_t k = 1; k <= index.CoreNumber(v); ++k) {
+      const uint32_t node = index.AncestorAtLevel(v, k);
+      if (!checked.emplace(node, k).second) continue;
+      SCOPED_TRACE("v=" + std::to_string(v) + " k=" + std::to_string(k) +
+                   " node=" + std::to_string(node));
+      uint32_t delta = std::numeric_limits<uint32_t>::max();
+      for (const VertexId u : index.SubtreeLeaves(node)) {
+        uint32_t degree = 0;
+        for (const VertexId w : graph.Neighbors(u)) {
+          degree += index.CoreNumber(w) >= k ? 1u : 0u;
+        }
+        delta = std::min(delta, degree);
+      }
+      EXPECT_EQ(index.node_level()[node], delta);
+    }
+  }
+  EXPECT_FALSE(checked.empty());
+}
+
+TEST(PropertyCoreIndex, LeafLayoutAndDeltaSurviveImageRoundTrip) {
+  for (const GraphCase& c : IndexPlanGraphs()) {
+    SCOPED_TRACE(c.label);
+    const CoreIndex built(c.graph);
+    {
+      SCOPED_TRACE("built");
+      ExpectLayoutAndDelta(c.graph, built);
+    }
+    const std::string path = testing::TempPath(c.label + ".limg");
+    IoError error;
+    ASSERT_TRUE(store::WriteGraphImage(c.graph, GraphFacts::Compute(c.graph),
+                                       OrderedAdjacency(c.graph), built, path,
+                                       &error))
+        << error.message;
+    const std::optional<store::LoadedImage> loaded =
+        store::LoadGraphImage(path, &error);
+    ASSERT_TRUE(loaded.has_value()) << error.message;
+    SCOPED_TRACE("loaded");
+    ExpectLayoutAndDelta(loaded->graph, loaded->index);
+  }
 }
 
 // ---------------------------------------------------------------------

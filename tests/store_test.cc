@@ -425,6 +425,42 @@ TEST(StoreCraftedTest, LeafWithChildrenFailsStructuralPass) {
       << error.message;
 }
 
+TEST(StoreCraftedTest, LeafMissingFromParentChainFailsStructuralPass) {
+  const std::string path = CompileToTemp(gen::Barbell(4, 0), "chain_src");
+  std::string bytes = ReadFileBytes(path);
+  // Unlink leaf 0 from its parent's child chain but keep its parent
+  // pointer. Every chain still points back to its owner, yet the leaf
+  // layout would count leaf 0 into its parent's slice without giving it
+  // a place there, so its offset would wrap and a served fallback would
+  // write past its member vector. Parents and chains must agree both ways.
+  const auto word = [&](SectionId id, uint32_t i) {
+    return SectionOffsetOf(bytes, id) + i * sizeof(uint32_t);
+  };
+  const auto read = [&](SectionId id, uint32_t i) {
+    uint32_t value = 0;
+    std::memcpy(&value, bytes.data() + word(id, i), sizeof(value));
+    return value;
+  };
+  const uint32_t parent0 = read(SectionId::kNodeParent, 0);
+  ASSERT_NE(parent0, CoreIndex::kNil);
+  const uint32_t after0 = read(SectionId::kNodeNextSibling, 0);
+  uint64_t link = word(SectionId::kNodeFirstChild, parent0);
+  for (uint32_t child = read(SectionId::kNodeFirstChild, parent0);
+       child != 0; child = read(SectionId::kNodeNextSibling, child)) {
+    ASSERT_NE(child, CoreIndex::kNil) << "leaf 0 is not on its parent's chain";
+    link = word(SectionId::kNodeNextSibling, child);
+  }
+  std::memcpy(bytes.data() + link, &after0, sizeof(after0));
+  FixChecksum(&bytes);
+  const std::string patched = TempPath("store_chain.limg");
+  WriteFileBytes(patched, bytes);
+  IoError error;
+  EXPECT_FALSE(LoadGraphImage(patched, &error).has_value());
+  EXPECT_EQ(error.kind, IoErrorKind::kParse);
+  EXPECT_NE(error.message.find("structural validation"), std::string::npos)
+      << error.message;
+}
+
 TEST(StoreCraftedTest, CoreNumberTamperingFailsStructuralPass) {
   const std::string path = CompileToTemp(gen::Barbell(4, 0), "core_src");
   std::string bytes = ReadFileBytes(path);
